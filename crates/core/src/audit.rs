@@ -16,6 +16,18 @@
 //! and propagation delays), and the other transient buckets are read
 //! directly from the NIC, CIOQ ingress, and switch buffer state.
 //!
+//! The packets in NIC queues and in events are stored in the
+//! simulation's packet arena, so the check also asserts the arena
+//! identity
+//!
+//! ```text
+//! arena_live == in_nic + in_events
+//! ```
+//!
+//! `in_events` stays an independent count rather than being read off the
+//! arena: a handle leaked without a scheduled event keeps its slot live,
+//! so only the two counts together expose it.
+//!
 //! The check runs every [`CHECK_INTERVAL`] dispatches and once at
 //! finalization, so a violation is caught within a bounded window of
 //! the event that caused it without making debug runs quadratic. In
@@ -54,6 +66,8 @@ pub struct LedgerSnapshot {
     pub in_buffer: u64,
     /// Packets riding inside scheduled events (wire + serialization).
     pub in_events: u64,
+    /// Occupied slots in the simulation's packet arena.
+    pub in_arena: u64,
 }
 
 impl AuditLedger {
@@ -121,6 +135,12 @@ impl AuditLedger {
             snap.sent,
             accounted,
         );
+        debug_assert!(
+            snap.in_arena == snap.in_nic + snap.in_events,
+            "packet arena out of step: {} live slots but in_nic + in_events = {} ({snap:?})",
+            snap.in_arena,
+            snap.in_nic + snap.in_events,
+        );
     }
 }
 
@@ -148,6 +168,7 @@ mod tests {
             in_ingress: 0,
             in_buffer: 2,
             in_events: 1,
+            in_arena: 2,
         });
     }
 
@@ -162,6 +183,24 @@ mod tests {
             in_ingress: 0,
             in_buffer: 2,
             in_events: 0,
+            in_arena: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "packet arena out of step")]
+    fn leaked_arena_slot_panics() {
+        // Conservation holds, but one arena slot is live with no NIC
+        // entry or event pointing at it.
+        AuditLedger::check(&LedgerSnapshot {
+            sent: 10,
+            delivered: 4,
+            dropped: 2,
+            in_nic: 1,
+            in_ingress: 0,
+            in_buffer: 2,
+            in_events: 1,
+            in_arena: 3,
         });
     }
 

@@ -93,8 +93,6 @@ pub struct SimConfig {
     /// Capture per-packet path traces (Fig 1). Memory-heavy; only for
     /// short diagnostic runs.
     pub trace_paths: bool,
-    /// Cap on captured detour events (Fig 2a scatter).
-    pub detour_log_cap: usize,
     /// Take full buffer-occupancy snapshots at each sample tick (Fig 2b).
     pub occupancy_snapshots: bool,
     /// Long-lived-flow throughput is measured from this instant to the
@@ -126,7 +124,6 @@ impl SimConfig {
             sample_interval: None,
             hot_link_threshold: 0.9,
             trace_paths: false,
-            detour_log_cap: 100_000,
             occupancy_snapshots: false,
             throughput_warmup: None,
             ecmp: EcmpMode::FlowLevel,

@@ -31,6 +31,7 @@
 //! assert!(qct < 60.0);
 //! ```
 
+mod arena;
 pub mod audit;
 pub mod config;
 pub mod presets;

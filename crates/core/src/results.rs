@@ -2,7 +2,7 @@
 
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::ids::{HostId, PacketId};
-use dibs_stats::{DetourLog, NetCounters, OccupancySnapshot, Samples};
+use dibs_stats::{NetCounters, OccupancySnapshot, Samples};
 use dibs_workload::FlowClass;
 
 /// Outcome of one flow.
@@ -71,8 +71,6 @@ pub struct RunResults {
     pub counters: NetCounters,
     /// Detours per switch (indexed by `SwitchId`).
     pub detours_per_switch: Vec<u64>,
-    /// Capped detour event log (Fig 2a).
-    pub detour_log: DetourLog,
     /// Histogram of per-packet detour counts at delivery; index = number of
     /// detours (saturating at the last bucket).
     pub detour_histogram: Vec<u64>,
@@ -220,7 +218,6 @@ impl RunDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibs_stats::DetourLog;
 
     fn empty_results() -> RunResults {
         RunResults {
@@ -231,7 +228,6 @@ mod tests {
             queries: Vec::new(),
             counters: NetCounters::default(),
             detours_per_switch: Vec::new(),
-            detour_log: DetourLog::new(0),
             detour_histogram: vec![0; 65],
             hot_fraction_samples: Vec::new(),
             neighbor_free_1hop: Vec::new(),

@@ -1,10 +1,18 @@
 //! The event-driven network simulator.
 //!
 //! All mutable state lives in arenas indexed by the id types of
-//! `dibs-net`; the event loop dispatches a flat [`Event`] enum. Hosts own a
-//! single unbounded NIC queue (congestion happens at switches, as in the
-//! paper's NS-3 setup); switches run the full `dibs-switch` data path.
+//! `dibs-net`; the event loop dispatches a flat [`Event`] enum of at most
+//! 16 bytes. Hosts own a single unbounded NIC queue (congestion happens at
+//! switches, as in the paper's NS-3 setup); switches run the full
+//! `dibs-switch` data path.
+//!
+//! A packet between two nodes — queued at a host NIC, serializing,
+//! propagating, or in a CIOQ forwarding pipeline — lives in the
+//! simulation's [`PacketArena`]; NIC queues and events carry its 4-byte
+//! handle. It is written there once when it leaves a node and taken once
+//! when it reaches the next switch or its destination host.
 
+use crate::arena::{PacketArena, PacketHandle};
 use crate::audit::{AuditLedger, LedgerSnapshot};
 use crate::config::SimConfig;
 use crate::results::{FlowOutcome, PacketPath, QueryOutcome, RunResults};
@@ -15,8 +23,8 @@ use dibs_fault::{FaultAction, FaultError, FaultPlan, FaultSpec};
 use dibs_net::ids::{FlowId, HostId, LinkId, NodeId, PacketId};
 use dibs_net::packet::Packet;
 use dibs_net::routing::{EcmpMemo, Fib};
-use dibs_net::topology::{SwitchLayer, Topology};
-use dibs_stats::{DetourLog, NetCounters, OccupancySnapshot, Samples};
+use dibs_net::topology::Topology;
+use dibs_stats::{NetCounters, OccupancySnapshot, Samples};
 use dibs_switch::{EnqueueOutcome, SwitchCore};
 use dibs_trace::{TraceEvent, TraceKind, TraceSink, Tracer};
 use dibs_transport::{trace_packet_out, IdGen, TcpReceiver, TcpSender};
@@ -29,18 +37,19 @@ const DETOUR_HIST_BUCKETS: usize = 65;
 /// Cap on retained packet paths when tracing.
 const MAX_TRACED_PATHS: usize = 4096;
 
-/// Simulator events.
+/// Simulator events. Packets ride as [`PacketHandle`]s into the
+/// simulation's [`PacketArena`], never by value.
 #[derive(Debug)]
 enum Event {
     /// A flow's start time arrived.
     FlowStart(u32),
     /// A packet finished propagating to `node`.
-    Arrive { node: NodeId, pkt: Packet },
+    Arrive { node: NodeId, pkt: PacketHandle },
     /// `node` finished serializing `pkt` out of `port`.
     TxComplete {
         node: NodeId,
         port: u32,
-        pkt: Packet,
+        pkt: PacketHandle,
     },
     /// A sender retransmission timer fired.
     RtoFire { flow: u32, gen: u64 },
@@ -53,7 +62,7 @@ enum Event {
     ForwardDone {
         node: NodeId,
         port: u32,
-        pkt: Packet,
+        pkt: PacketHandle,
     },
     /// A PAUSE (true) or RESUME (false) frame took effect at `node`'s
     /// `port` (Ethernet flow control, §6).
@@ -66,8 +75,12 @@ enum Event {
     Fault(u32),
 }
 
+// Every timing-wheel node carries one `Event`; a variant holding a
+// `Packet` by value would silently regrow each node from 32 B to ~112 B.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+
 struct HostNic {
-    queue: VecDeque<Packet>,
+    queue: VecDeque<PacketHandle>,
     busy: bool,
 }
 
@@ -154,6 +167,8 @@ pub struct Simulation {
 
     switches: Vec<SwitchCore>,
     host_nic: Vec<HostNic>,
+    /// Packets between two nodes (see the module docs).
+    packets: PacketArena,
     /// `tx_busy[node][port]` (hosts use port 0).
     tx_busy: Vec<Vec<bool>>,
 
@@ -161,7 +176,6 @@ pub struct Simulation {
     queries: Vec<QueryState>,
 
     counters: NetCounters,
-    detour_log: DetourLog,
     detours_per_switch: Vec<u64>,
     detour_hist: Vec<u64>,
     qct_ms: Samples,
@@ -284,11 +298,11 @@ impl Simulation {
             ids: IdGen::new(),
             switches,
             host_nic,
+            packets: PacketArena::default(),
             tx_busy,
             flows: Vec::new(),
             queries: Vec::new(),
             counters: NetCounters::default(),
-            detour_log: DetourLog::new(config.detour_log_cap),
             detours_per_switch: vec![0; n_sw],
             detour_hist: vec![0; DETOUR_HIST_BUCKETS],
             qct_ms: Samples::new(),
@@ -495,7 +509,8 @@ impl Simulation {
     }
 
     /// Debug-build audit: every injected packet is delivered, dropped,
-    /// queued somewhere, or riding inside a scheduled event.
+    /// queued somewhere, or riding inside a scheduled event — and the
+    /// packet arena holds exactly the NIC-queued and event-borne ones.
     fn conservation_check(&self) {
         AuditLedger::check(&LedgerSnapshot {
             sent: self.counters.packets_sent,
@@ -513,6 +528,7 @@ impl Simulation {
                 .map(|s| s.total_buffered() as u64)
                 .sum(),
             in_events: self.audit.in_events(),
+            in_arena: self.packets.live() as u64,
         });
     }
 
@@ -525,7 +541,10 @@ impl Simulation {
         }
         match ev {
             Event::FlowStart(fi) => self.on_flow_start(fi as usize),
-            Event::Arrive { node, pkt } => self.on_arrive(node, pkt),
+            Event::Arrive { node, pkt } => {
+                let pkt = self.packets.take(pkt);
+                self.on_arrive(node, pkt);
+            }
             Event::TxComplete { node, port, pkt } => self.on_tx_complete(node, port as usize, pkt),
             Event::RtoFire { flow, gen } => self.on_rto(flow as usize, gen),
             Event::Sample => self.on_sample(),
@@ -534,6 +553,7 @@ impl Simulation {
                 self.warmup_snapshot = Some((self.engine.now(), bytes));
             }
             Event::ForwardDone { node, port, pkt } => {
+                let pkt = self.packets.take(pkt);
                 let si = self.topo.as_switch(node).expect("switch").index();
                 if self.fault_crashed_switch(si) {
                     // The switch crashed while this packet was in its
@@ -794,7 +814,7 @@ impl Simulation {
             self.trace_pkt(TraceKind::Drop, node, &pkt);
             return;
         }
-        nic.queue.push_back(pkt);
+        nic.queue.push_back(self.packets.insert(pkt));
         if !nic.busy {
             self.start_host_tx(host);
         }
@@ -808,16 +828,23 @@ impl Simulation {
             self.host_nic[host.index()].busy = false;
             return;
         }
-        let Some(pkt) = self.host_nic[host.index()].queue.pop_front() else {
+        let Some(handle) = self.host_nic[host.index()].queue.pop_front() else {
             self.host_nic[host.index()].busy = false;
             return;
         };
         self.host_nic[host.index()].busy = true;
         let up = self.topo.host_uplink(host);
-        let ser = SimDuration::serialization(u64::from(pkt.wire_bytes), up.rate_bps);
+        let wire_bytes = self.packets.get(handle).wire_bytes;
+        let ser = SimDuration::serialization(u64::from(wire_bytes), up.rate_bps);
         self.audit.packet_event_scheduled();
-        self.engine
-            .schedule_in(ser, Event::TxComplete { node, port: 0, pkt });
+        self.engine.schedule_in(
+            ser,
+            Event::TxComplete {
+                node,
+                port: 0,
+                pkt: handle,
+            },
+        );
     }
 
     /// Records a host-side or delivery-side trace event. Costs one dead
@@ -1005,12 +1032,13 @@ impl Simulation {
         let rate = (self.topo.port(node, ingress).rate_bps as f64 * speedup) as u64;
         let service = SimDuration::serialization(u64::from(pkt.wire_bytes), rate.max(1));
         self.audit.packet_event_scheduled();
+        let handle = self.packets.insert(pkt);
         self.engine.schedule_in(
             service,
             Event::ForwardDone {
                 node,
                 port: u32::try_from(ingress).expect("port index fits u32"),
-                pkt,
+                pkt: handle,
             },
         );
     }
@@ -1076,9 +1104,6 @@ impl Simulation {
             EnqueueOutcome::Detoured { port } => {
                 self.counters.detours += 1;
                 self.detours_per_switch[si] += 1;
-                let layer = layer_code(self.topo.layer(node));
-                let si32 = u32::try_from(si).expect("switch index fits u32");
-                self.detour_log.record(self.engine.now(), si32, layer);
                 if self.config.trace_paths {
                     if let Some(t) = self.traces.get_mut(&pid) {
                         t.pending_detour = true;
@@ -1121,12 +1146,13 @@ impl Simulation {
             let rate = self.topo.port(node, port).rate_bps;
             let ser = SimDuration::serialization(u64::from(pkt.wire_bytes), rate);
             self.audit.packet_event_scheduled();
+            let handle = self.packets.insert(pkt);
             self.engine.schedule_in(
                 ser,
                 Event::TxComplete {
                     node,
                     port: u32::try_from(port).expect("port index fits u32"),
-                    pkt,
+                    pkt: handle,
                 },
             );
             return;
@@ -1172,7 +1198,7 @@ impl Simulation {
         );
     }
 
-    fn on_tx_complete(&mut self, node: NodeId, port: usize, mut pkt: Packet) {
+    fn on_tx_complete(&mut self, node: NodeId, port: usize, handle: PacketHandle) {
         if self.fault_link_down(node, port)
             || self
                 .topo
@@ -1182,6 +1208,7 @@ impl Simulation {
             // The link went down (or the switch crashed) while the frame
             // was serializing: the frame is cut on the wire. Release the
             // port without restarting — recovery re-kicks it.
+            let pkt = self.packets.take(handle);
             self.counters.drops_fault += 1;
             self.traces.remove(&pkt.id.0);
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
@@ -1196,11 +1223,17 @@ impl Simulation {
         let peer = p.peer;
         let delay = p.delay;
         // Stamp the ingress port the packet will arrive on (PFC accounting).
+        let pkt = self.packets.get_mut(handle);
         pkt.last_ingress = u16::try_from(p.peer_port).expect("port index fits u16");
         self.port_tx_bytes[self.port_offsets[node.index()] + port] += u64::from(pkt.wire_bytes);
         self.audit.packet_event_scheduled();
-        self.engine
-            .schedule_in(delay, Event::Arrive { node: peer, pkt });
+        self.engine.schedule_in(
+            delay,
+            Event::Arrive {
+                node: peer,
+                pkt: handle,
+            },
+        );
 
         // Start the next transmission on this port.
         match self.topo.as_host(node) {
@@ -1416,7 +1449,6 @@ impl Simulation {
             queries: query_outcomes,
             counters: self.counters,
             detours_per_switch: self.detours_per_switch,
-            detour_log: self.detour_log,
             detour_histogram: self.detour_hist,
             hot_fraction_samples: self.hot_samples,
             neighbor_free_1hop: self.neighbor_free_1hop,
@@ -1430,14 +1462,5 @@ impl Simulation {
             finished_at,
             trace: self.tracer.into_report(queue_hwm),
         }
-    }
-}
-
-fn layer_code(layer: SwitchLayer) -> u8 {
-    match layer {
-        SwitchLayer::Edge => 0,
-        SwitchLayer::Aggregation => 1,
-        SwitchLayer::Core => 2,
-        SwitchLayer::Other => 3,
     }
 }

@@ -300,13 +300,12 @@ fn packet_paths_are_traceable_and_connected() {
 }
 
 /// Detour bookkeeping is consistent: per-switch counts sum to the global
-/// counter, and the capped log observed the same number.
+/// counter, and the delivery histogram accounts for every packet.
 #[test]
 fn detour_accounting_consistent() {
     let results = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
     let per_switch: u64 = results.detours_per_switch.iter().sum();
     assert_eq!(per_switch, results.counters.detours);
-    assert_eq!(results.detour_log.observed, results.counters.detours);
     // Histogram mass equals delivered packets.
     let hist_total: u64 = results.detour_histogram.iter().sum();
     assert_eq!(hist_total, results.counters.packets_delivered);

@@ -1,8 +1,9 @@
 //! Packet representation.
 //!
 //! Packets are metadata-only: the simulator never materializes payload
-//! bytes. A packet is `Clone + Copy`-cheap (a few dozen bytes) and is moved
-//! by value through queues and events.
+//! bytes. A packet is 80 bytes; switch buffers and the transport APIs move
+//! it by value, while the simulator parks packets that are between two
+//! nodes in a slab and schedules events that carry only a slot handle.
 
 use crate::ids::{FlowId, HostId, PacketId};
 use dibs_engine::time::SimTime;

@@ -64,6 +64,11 @@ if [[ $quick -eq 0 ]]; then
         echo "==> cargo test --workspace (fast tier; --full adds tier-2)"
         cargo test --workspace --offline -q
     fi
+    # perfbench is a workspace of its own, so `--workspace` never builds
+    # it; a signature change in a crate it drives would otherwise break
+    # the benchmark unnoticed.
+    echo "==> perfbench (separate workspace: build + tests)"
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> all checks passed"

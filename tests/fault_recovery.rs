@@ -1,15 +1,16 @@
 //! Recovery behavior under injected faults on the §5.2 mini testbed:
 //! routing reconverges around link flaps, TCP rides out a full edge
 //! outage, and DIBS's detouring delivers more of an incast than plain
-//! drop-tail while an uplink is dark.
+//! drop-tail while an uplink is dark. A K=4 fat-tree incast cut by its
+//! horizon mid-burst checks the accounting of packets still in flight.
 
 use dibs::presets::testbed_incast_sim;
-use dibs::{FaultSpec, RunDescriptor, SimConfig, Simulation};
+use dibs::{FaultSpec, RunDescriptor, RunDigest, RunResults, SimConfig, Simulation};
 use dibs_engine::time::SimTime;
-use dibs_net::builders::mini_testbed;
+use dibs_net::builders::{fat_tree, mini_testbed, FatTreeParams};
 use dibs_net::ids::HostId;
 use dibs_net::topology::LinkSpec;
-use dibs_workload::{FlowClass, FlowSpec};
+use dibs_workload::{FlowClass, FlowSpec, QuerySpec};
 
 const MASTER_SEED: u64 = 0xD1B5_2014;
 
@@ -118,5 +119,52 @@ fn dibs_delivers_more_than_drop_tail_during_an_uplink_outage() {
     assert!(
         dibs_drops < baseline_drops,
         "DIBS dropped {dibs_drops}, not fewer than drop-tail's {baseline_drops}"
+    );
+}
+
+/// A K=4 fat-tree incast (15 responders x 64 KB into host 0) with one of
+/// the target edge's uplinks flapping, cut by a 300 µs horizon while the
+/// burst is still queued at NICs, serializing, on the wire and buffered.
+fn cut_incast_run() -> RunResults {
+    let mut cfg = SimConfig::dctcp_dibs().with_seed(7);
+    cfg.horizon = SimTime::from_micros(300);
+    let tree = FatTreeParams {
+        k: 4,
+        ..FatTreeParams::paper_default()
+    };
+    let mut sim = Simulation::new(fat_tree(tree), cfg);
+    sim.add_queries(&[QuerySpec {
+        start: SimTime::ZERO,
+        target: HostId::from_index(0),
+        responders: (1..16).map(HostId::from_index).collect(),
+        response_bytes: 64_000,
+    }]);
+    let spec: FaultSpec = "link-down:t=100us:edge[0][0]-aggr[0][0]:dur=100us"
+        .parse()
+        .expect("valid fault spec");
+    sim.set_faults(&spec)
+        .expect("spec resolves on the K=4 fat-tree");
+    sim.run()
+}
+
+#[test]
+fn run_cut_mid_burst_accounts_for_packets_in_flight() {
+    let results = cut_incast_run();
+    let c = &results.counters;
+    assert!(
+        results.packets_in_flight > 0,
+        "the horizon must cut the burst with packets still in flight"
+    );
+    assert!(c.drops_fault > 0, "the flap must cut frames mid-burst");
+    assert_eq!(
+        c.packets_sent,
+        c.packets_delivered + c.total_drops() + results.packets_in_flight,
+        "sent != delivered + drops + in_flight ({c:?}, in_flight {})",
+        results.packets_in_flight
+    );
+    assert_eq!(
+        RunDigest::of(&results),
+        RunDigest::of(&cut_incast_run()),
+        "a cut run must replay to the same digest"
     );
 }
