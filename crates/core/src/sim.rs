@@ -15,27 +15,24 @@
 use crate::arena::{PacketArena, PacketHandle};
 use crate::audit::{AuditLedger, LedgerSnapshot};
 use crate::config::SimConfig;
-use crate::results::{FlowOutcome, PacketPath, QueryOutcome, RunResults};
+use crate::results::{FlowOutcome, QueryOutcome, RunResults};
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
 use dibs_engine::Engine;
 use dibs_fault::{FaultAction, FaultError, FaultPlan, FaultSpec};
-use dibs_net::ids::{FlowId, HostId, LinkId, NodeId, PacketId};
+use dibs_net::ids::{FlowId, HostId, LinkId, NodeId};
 use dibs_net::packet::Packet;
 use dibs_net::routing::{EcmpMemo, Fib};
 use dibs_net::topology::Topology;
-use dibs_stats::{NetCounters, OccupancySnapshot, Samples};
+use dibs_stats::{NetCounters, Samples};
 use dibs_switch::{EnqueueOutcome, SwitchCore};
 use dibs_trace::{TraceEvent, TraceKind, TraceSink, Tracer};
 use dibs_transport::{trace_packet_out, IdGen, TcpReceiver, TcpSender};
 use dibs_workload::{FlowClass, FlowSpec, QuerySpec};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Maximum distinct detour counts tracked in the delivery histogram.
 const DETOUR_HIST_BUCKETS: usize = 65;
-/// Cap on retained packet paths when tracing.
-const MAX_TRACED_PATHS: usize = 4096;
 
 /// Simulator events. Packets ride as [`PacketHandle`]s into the
 /// simulation's [`PacketArena`], never by value.
@@ -100,14 +97,6 @@ struct QueryState {
     total: usize,
     completed: usize,
     qct: Option<SimDuration>,
-}
-
-#[derive(Default)]
-struct PathTrace {
-    nodes: Vec<NodeId>,
-    detour: Vec<bool>,
-    pending_detour: bool,
-    detours: u16,
 }
 
 /// Runtime state of an installed fault schedule.
@@ -190,15 +179,11 @@ pub struct Simulation {
     hot_samples: Vec<f64>,
     neighbor_free_1hop: Vec<f64>,
     neighbor_free_2hop: Vec<f64>,
-    occupancy: Vec<OccupancySnapshot>,
     /// 1-hop switch neighborhood of each switch (switch indices).
     neighbors1: Vec<Vec<usize>>,
     /// 2-hop switch neighborhood (excluding self and 1-hop).
     neighbors2: Vec<Vec<usize>>,
     last_sample: SimTime,
-
-    traces: BTreeMap<u64, PathTrace>,
-    finished_paths: Vec<PacketPath>,
     /// `(time, per-flow rcv_nxt)` captured at the warmup instant.
     warmup_snapshot: Option<(SimTime, Vec<u64>)>,
     /// `paused[node][port]` — the peer has PAUSEd this port (PFC).
@@ -313,12 +298,9 @@ impl Simulation {
             hot_samples: Vec::new(),
             neighbor_free_1hop: Vec::new(),
             neighbor_free_2hop: Vec::new(),
-            occupancy: Vec::new(),
             neighbors1,
             neighbors2,
             last_sample: SimTime::ZERO,
-            traces: BTreeMap::new(),
-            finished_paths: Vec::new(),
             warmup_snapshot: None,
             paused: (0..topo.num_nodes())
                 .map(|n| vec![false; topo.num_ports(NodeId::from_index(n))])
@@ -559,7 +541,6 @@ impl Simulation {
                     // The switch crashed while this packet was in its
                     // forwarding pipeline; it dies with the switch.
                     self.counters.drops_fault += 1;
-                    self.traces.remove(&pkt.id.0);
                     self.trace_pkt(TraceKind::Drop, node.0, &pkt);
                     self.ingress_busy[si][port as usize] = false;
                     return;
@@ -721,7 +702,6 @@ impl Simulation {
         let drained = self.switches[si].drain_all();
         for pkt in drained {
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
             self.pfc_on_dequeued(si, usize::from(pkt.last_ingress));
         }
@@ -733,7 +713,6 @@ impl Simulation {
             .collect();
         for pkt in ingress {
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
         }
         self.refresh_routes();
@@ -793,23 +772,10 @@ impl Simulation {
                 &mut self.tracer,
             );
         }
-        if self.config.trace_paths {
-            let node = self.topo.host_node(host);
-            self.traces.insert(
-                pkt.id.0,
-                PathTrace {
-                    nodes: vec![node],
-                    detour: vec![false],
-                    pending_detour: false,
-                    detours: 0,
-                },
-            );
-        }
         let nic = &mut self.host_nic[host.index()];
         if nic.queue.len() >= self.config.host_nic_cap {
             // Qdisc-style local drop; the transport retransmits later.
             self.counters.drops_host_nic += 1;
-            self.traces.remove(&pkt.id.0);
             let node = self.topo.host_node(host).0;
             self.trace_pkt(TraceKind::Drop, node, &pkt);
             return;
@@ -894,7 +860,6 @@ impl Simulation {
                 FlowClass::LongLived => {}
             }
         }
-        self.finish_trace(&pkt, host);
 
         let now = self.engine.now();
         let fi = pkt.flow.index();
@@ -954,7 +919,6 @@ impl Simulation {
 
     fn on_arrive(&mut self, node: NodeId, pkt: Packet) {
         if let Some(host) = self.topo.as_host(node) {
-            self.record_trace_hop(&pkt, node);
             self.deliver(host, pkt);
         } else {
             self.on_switch_arrive(node, pkt);
@@ -966,13 +930,11 @@ impl Simulation {
         if self.fault_crashed_switch(si) {
             // A crashed switch blackholes everything that reaches it.
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
             return;
         }
         if !pkt.decrement_ttl() {
             self.counters.drops_ttl += 1;
-            self.traces.remove(&pkt.id.0);
             self.trace_pkt(TraceKind::TtlExpire, node.0, &pkt);
             return;
         }
@@ -992,7 +954,6 @@ impl Simulation {
             pkt.detours,
             pkt.hops
         );
-        self.record_trace_hop(&pkt, node);
 
         if let crate::config::SwitchArch::Cioq {
             ingress_packets, ..
@@ -1003,7 +964,6 @@ impl Simulation {
             let ingress = usize::from(pkt.last_ingress);
             if self.ingress_q[si][ingress].len() >= ingress_packets {
                 self.counters.drops_buffer += 1;
-                self.traces.remove(&pkt.id.0);
                 self.trace_pkt(TraceKind::Drop, node.0, &pkt);
                 return;
             }
@@ -1048,7 +1008,6 @@ impl Simulation {
     fn route_and_enqueue(&mut self, node: NodeId, si: usize, pkt: Packet) {
         if self.fault_should_drop(&pkt) {
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
             return;
         }
@@ -1071,7 +1030,6 @@ impl Simulation {
                 // Injected faults partitioned the fabric; the packet
                 // blackholes at the switch that has no route left.
                 self.counters.drops_fault += 1;
-                self.traces.remove(&pkt.id.0);
                 self.trace_pkt(TraceKind::Drop, node.0, &pkt);
                 return;
             }
@@ -1081,7 +1039,6 @@ impl Simulation {
             return;
         };
 
-        let pid = pkt.id.0;
         let ingress = usize::from(pkt.last_ingress);
         let now_ns = self.engine.now().as_nanos();
         let result = self.switches[si].enqueue_traced(
@@ -1093,7 +1050,6 @@ impl Simulation {
         );
         if let Some(displaced) = result.displaced {
             self.counters.drops_displaced += 1;
-            self.traces.remove(&displaced.id.0);
             self.pfc_on_dequeued(si, usize::from(displaced.last_ingress));
         }
         match result.outcome {
@@ -1104,18 +1060,11 @@ impl Simulation {
             EnqueueOutcome::Detoured { port } => {
                 self.counters.detours += 1;
                 self.detours_per_switch[si] += 1;
-                if self.config.trace_paths {
-                    if let Some(t) = self.traces.get_mut(&pid) {
-                        t.pending_detour = true;
-                        t.detours += 1;
-                    }
-                }
                 self.pfc_on_buffered(node, si, ingress);
                 self.kick_switch_port(node, si, port);
             }
             EnqueueOutcome::Dropped(_) => {
                 self.counters.drops_buffer += 1;
-                self.traces.remove(&pid);
             }
         }
     }
@@ -1137,7 +1086,6 @@ impl Simulation {
                 // and try the next packet in the queue.
                 self.pfc_on_dequeued(si, usize::from(pkt.last_ingress));
                 self.counters.drops_fault += 1;
-                self.traces.remove(&pkt.id.0);
                 self.trace_pkt(TraceKind::Drop, node.0, &pkt);
                 continue;
             }
@@ -1210,7 +1158,6 @@ impl Simulation {
             // port without restarting — recovery re-kicks it.
             let pkt = self.packets.take(handle);
             self.counters.drops_fault += 1;
-            self.traces.remove(&pkt.id.0);
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
             match self.topo.as_host(node) {
                 // start_host_tx parks again while the uplink stays down.
@@ -1249,39 +1196,7 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // Tracing (Fig 1).
-    // ------------------------------------------------------------------
-
-    fn record_trace_hop(&mut self, pkt: &Packet, node: NodeId) {
-        if !self.config.trace_paths {
-            return;
-        }
-        if let Entry::Occupied(mut e) = self.traces.entry(pkt.id.0) {
-            let t = e.get_mut();
-            let was_detour = std::mem::take(&mut t.pending_detour);
-            t.nodes.push(node);
-            t.detour.push(was_detour);
-        }
-    }
-
-    fn finish_trace(&mut self, pkt: &Packet, _host: HostId) {
-        if !self.config.trace_paths {
-            return;
-        }
-        if let Some(t) = self.traces.remove(&pkt.id.0) {
-            if t.detours > 0 && self.finished_paths.len() < MAX_TRACED_PATHS {
-                self.finished_paths.push(PacketPath {
-                    id: PacketId(pkt.id.0),
-                    nodes: t.nodes,
-                    detour: t.detour,
-                    detours: t.detours,
-                });
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Sampling (Figs 2, 4, 5).
+    // Sampling (Figs 4, 5).
     // ------------------------------------------------------------------
 
     fn on_sample(&mut self) {
@@ -1339,18 +1254,6 @@ impl Simulation {
         }
         if n2 > 0 {
             self.neighbor_free_2hop.push(sum2 / n2 as f64);
-        }
-
-        if self.config.occupancy_snapshots {
-            let per_switch: Vec<Vec<usize>> = self
-                .switches
-                .iter()
-                .map(|sw| (0..sw.num_ports()).map(|p| sw.queue_len(p)).collect())
-                .collect();
-            self.occupancy.push(OccupancySnapshot {
-                time_s: now.as_secs_f64(),
-                per_switch,
-            });
         }
 
         if let Some(interval) = self.config.sample_interval {
@@ -1453,9 +1356,7 @@ impl Simulation {
             hot_fraction_samples: self.hot_samples,
             neighbor_free_1hop: self.neighbor_free_1hop,
             neighbor_free_2hop: self.neighbor_free_2hop,
-            occupancy: self.occupancy,
             long_lived_throughput_bps: long_lived,
-            paths: self.finished_paths,
             pfc_pause_events: self.pause_events,
             packets_in_flight,
             events_dispatched: self.engine.dispatched(),

@@ -41,16 +41,6 @@ impl TimeSeries {
     }
 }
 
-/// A buffer-occupancy snapshot for one switch: one value per port (Fig 2b's
-/// bar groups).
-#[derive(Debug, Clone)]
-pub struct OccupancySnapshot {
-    /// Time in seconds.
-    pub time_s: f64,
-    /// `per_switch[s][p]` = packets queued on port `p` of switch `s`.
-    pub per_switch: Vec<Vec<usize>>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,6 @@
 //! Post-hoc queries over a captured event stream: packet lifecycles,
-//! per-flow hop lists, detour-loop detection, occupancy folding.
+//! delivered paths, per-flow hop lists, detour-loop detection, occupancy
+//! folding.
 //!
 //! All helpers take a plain `&[TraceEvent]` slice (as held by a
 //! `TraceReport`), assume it is in emission order — which equals
@@ -50,6 +51,32 @@ pub fn packet_hops(events: &[TraceEvent], packet: u64) -> Vec<Hop> {
             _ => None,
         })
         .collect()
+}
+
+/// The delivered path of `packet` as `(node, detoured_in)` pairs: the
+/// source host (`Send`/`Retransmit`/`Ack`), every switch that queued it
+/// (`Enqueue`/`Detour`), then the `Deliver` host. `detoured_in` says
+/// whether the hop *into* that node left the previous switch on a detour,
+/// i.e. [`Hop::detour`] shifted one stop down the path. Empty when the
+/// capture holds no `Deliver` for the packet.
+pub fn delivered_path(events: &[TraceEvent], packet: u64) -> Vec<(u32, bool)> {
+    let mut path = Vec::new();
+    let mut detoured = false;
+    for e in events.iter().filter(|e| e.packet == packet) {
+        match e.kind {
+            TraceKind::Send | TraceKind::Retransmit | TraceKind::Ack => path.push((e.node, false)),
+            TraceKind::Enqueue | TraceKind::Detour => {
+                path.push((e.node, detoured));
+                detoured = e.kind == TraceKind::Detour;
+            }
+            TraceKind::Deliver => {
+                path.push((e.node, detoured));
+                return path;
+            }
+            _ => {}
+        }
+    }
+    Vec::new()
 }
 
 /// Distinct packet ids observed for `flow`, in first-appearance order.
@@ -188,6 +215,48 @@ mod tests {
         assert_eq!(hops.len(), 2);
         assert_eq!((hops[0].node, hops[0].detour), (20, false));
         assert_eq!((hops[1].node, hops[1].detour), (21, true));
+    }
+
+    #[test]
+    fn delivered_path_flags_the_hop_after_each_detour() {
+        let events = vec![
+            ev(0, 1, 9, 100, 0, TraceKind::Send),
+            ev(10, 1, 9, 20, 2, TraceKind::Enqueue),
+            ev(12, 4, 9, 101, 0, TraceKind::Ack),
+            ev(20, 1, 9, 21, 1, TraceKind::Detour),
+            ev(22, 4, 9, 20, 0, TraceKind::Detour),
+            ev(25, 1, 9, 21, 1, TraceKind::EcnMark),
+            ev(30, 1, 9, 22, 3, TraceKind::Enqueue),
+            ev(32, 4, 9, 23, 1, TraceKind::Enqueue),
+            ev(40, 1, 9, 101, 0, TraceKind::Deliver),
+            ev(42, 4, 9, 100, 0, TraceKind::Deliver),
+            // Retransmitted, queued once, then lost: never delivered.
+            ev(50, 5, 9, 100, 0, TraceKind::Retransmit),
+            ev(60, 5, 9, 20, 2, TraceKind::Enqueue),
+            ev(70, 5, 9, 20, 2, TraceKind::Drop),
+            ev(80, 6, 9, 100, 0, TraceKind::Retransmit),
+            ev(90, 6, 9, 101, 0, TraceKind::Deliver),
+        ];
+        // The detour at 21 flags the hop into 22, not 21 itself.
+        assert_eq!(
+            delivered_path(&events, 1),
+            vec![
+                (100, false),
+                (20, false),
+                (21, false),
+                (22, true),
+                (101, false)
+            ]
+        );
+        // Ack and Retransmit sources start the path; packets 1 and 4
+        // interleave without mixing.
+        assert_eq!(
+            delivered_path(&events, 4),
+            vec![(101, false), (20, false), (23, true), (100, false)]
+        );
+        assert_eq!(delivered_path(&events, 6), vec![(100, false), (101, false)]);
+        assert!(delivered_path(&events, 5).is_empty());
+        assert!(delivered_path(&events, 99).is_empty());
     }
 
     #[test]

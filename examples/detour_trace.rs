@@ -1,22 +1,30 @@
 //! Trace a single detoured packet through the fabric (Figure 1).
 //!
-//! Runs one 100-way incast on the K=8 fat-tree with path tracing enabled,
-//! then prints the full hop-by-hop journey of the most-detoured packet —
-//! the reproduction of the paper's Figure 1 walkthrough.
+//! Runs one 100-way incast on the K=8 fat-tree under a `dibs-trace`
+//! capture, then rebuilds and prints the full hop-by-hop journey of the
+//! most-detoured packet — the reproduction of the paper's Figure 1
+//! walkthrough.
 //!
 //! ```text
 //! cargo run --release --example detour_trace
 //! ```
 
 use dibs::presets::single_incast_sim;
-use dibs::SimConfig;
+use dibs::{SimConfig, TraceSpec, Tracer};
 use dibs_net::builders::{fat_tree, FatTreeParams};
+use dibs_net::ids::NodeId;
+use dibs_trace::{delivered_path, TraceKind};
 
 fn main() {
     let mut cfg = SimConfig::dctcp_dibs();
-    cfg.trace_paths = true;
     cfg.seed = 12;
-    let results = single_incast_sim(FatTreeParams::paper_default(), cfg, 100, 20_000).run();
+    let mut sim = single_incast_sim(FatTreeParams::paper_default(), cfg, 100, 20_000);
+    let spec: TraceSpec = "send,retransmit,ack,enqueue,detour,deliver"
+        .parse()
+        .expect("valid trace spec");
+    sim.set_tracer(Tracer::from_spec(&spec));
+    let results = sim.run();
+    let events = &results.trace.as_ref().expect("tracer installed").events;
     let topo = fat_tree(FatTreeParams::paper_default());
 
     println!(
@@ -26,21 +34,27 @@ fn main() {
         results.counters.total_drops()
     );
 
-    let Some(path) = results.paths.iter().max_by_key(|p| p.detours) else {
+    // The last delivery among those with the most detours.
+    let Some(most) = events
+        .iter()
+        .filter(|e| e.kind == TraceKind::Deliver && e.detours > 0)
+        .max_by_key(|e| e.detours)
+    else {
         println!("no detoured packet captured");
         return;
     };
+    let path = delivered_path(events, most.packet);
     println!(
         "most-detoured packet: {} detours over {} hops",
-        path.detours,
-        path.nodes.len() - 1
+        most.detours,
+        path.len() - 1
     );
-    for (i, (node, det)) in path.nodes.iter().zip(&path.detour).enumerate() {
+    for (i, &(node, det)) in path.iter().enumerate() {
         println!(
             "  {:>3}  {}{}",
             i,
-            topo.node(*node).name,
-            if *det {
+            topo.node(NodeId(node)).name,
+            if det {
                 "   <- detoured onto this hop"
             } else {
                 ""

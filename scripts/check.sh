@@ -60,6 +60,15 @@ if [[ $quick -eq 0 ]]; then
             python3 -m json.tool "$chrome" >/dev/null
         fi
         echo "    digest identical traced vs untraced; Chrome JSON valid"
+        echo "==> trace-built figures (fig01/fig02 JSON matches results/)"
+        for fig in fig01_detour_path fig02_detour_timeline; do
+            DIBS_RESULTS_DIR="$tmp" cargo run -q -p dibs-bench --release \
+                --offline --bin "$fig" >/dev/null
+            if ! diff -u "results/$fig.json" "$tmp/$fig.json"; then
+                echo "FAIL: $fig no longer reproduces results/$fig.json" >&2
+                exit 1
+            fi
+        done
     else
         echo "==> cargo test --workspace (fast tier; --full adds tier-2)"
         cargo test --workspace --offline -q

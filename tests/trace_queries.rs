@@ -1,15 +1,24 @@
 //! End-to-end checks on the trace itself: a traced incast exports valid
 //! Chrome-trace JSON, and the post-hoc query helpers can reconstruct a
-//! detoured packet's full hop sequence from the event stream.
+//! detoured packet's full hop sequence from the event stream — including
+//! the Fig 1 path of the most-detoured delivery.
 
 use dibs::presets::single_incast_sim;
 use dibs::{RunDescriptor, SimConfig, TraceSpec, Tracer};
-use dibs_net::builders::FatTreeParams;
+use dibs_net::builders::{fat_tree, FatTreeParams};
+use dibs_net::ids::NodeId;
 use dibs_switch::BufferConfig;
 use dibs_trace::{
-    detour_loop_packets, flow_packets, is_chrome_trace, packet_hops, packet_lifecycle,
-    per_flow_hops, TraceKind, TraceReport,
+    delivered_path, detour_loop_packets, flow_packets, is_chrome_trace, packet_hops,
+    packet_lifecycle, per_flow_hops, TraceKind, TraceReport,
 };
+
+fn k4() -> FatTreeParams {
+    FatTreeParams {
+        k: 4,
+        ..FatTreeParams::paper_default()
+    }
+}
 
 /// The golden buffer-sweep point: 25-packet buffers force heavy
 /// detouring, so the trace is guaranteed to contain detoured packets.
@@ -18,11 +27,7 @@ fn traced_incast() -> TraceReport {
     let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(0xD1B5_2014));
     cfg.switch.buffer = BufferConfig::StaticPerPort { packets: 25 };
     cfg.switch.ecn_threshold = Some(20);
-    let params = FatTreeParams {
-        k: 4,
-        ..FatTreeParams::paper_default()
-    };
-    let mut sim = single_incast_sim(params, cfg, 8, 20_000);
+    let mut sim = single_incast_sim(k4(), cfg, 8, 20_000);
     let spec: TraceSpec = "all".parse().expect("valid spec");
     sim.set_tracer(Tracer::from_spec(&spec));
     sim.run().trace.expect("tracer was installed")
@@ -98,4 +103,31 @@ fn packet_lifecycle_reconstructs_a_detoured_packet() {
     // Loop detection only ever reports packets that actually detoured.
     let loopers = detour_loop_packets(events);
     assert!(loopers.iter().all(|p| detoured.contains(p)));
+
+    // Fig 1: the most-detoured delivery's path runs source host ->
+    // switches -> destination host over real links, and flags exactly one
+    // hop per detour: the hop after each detouring switch.
+    let most = events
+        .iter()
+        .filter(|e| e.kind == TraceKind::Deliver)
+        .max_by_key(|e| e.detours)
+        .expect("something was delivered");
+    assert!(most.detours >= 1, "some delivered packet detoured");
+    let path = delivered_path(events, most.packet);
+    let topo = fat_tree(k4());
+    for w in path.windows(2) {
+        let (from, to) = (NodeId(w[0].0), NodeId(w[1].0));
+        let connected = topo.node(from).ports.iter().any(|p| p.peer == to);
+        assert!(connected, "path hop {from} -> {to} not a link");
+    }
+    let flagged = path.iter().filter(|&&(_, d)| d).count();
+    assert_eq!(flagged, usize::from(most.detours));
+    let shifted: Vec<bool> = std::iter::once(false)
+        .chain(packet_hops(events, most.packet).iter().map(|h| h.detour))
+        .collect();
+    let flags: Vec<bool> = path[1..].iter().map(|&(_, d)| d).collect();
+    assert_eq!(
+        flags, shifted,
+        "path flags are the hop flags shifted by one"
+    );
 }
