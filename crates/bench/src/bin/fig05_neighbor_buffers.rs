@@ -9,7 +9,7 @@
 
 use dibs::presets::{mixed_workload_sim, MixedWorkload};
 use dibs::SimConfig;
-use dibs_bench::{parallel_map, Harness};
+use dibs_bench::Harness;
 use dibs_engine::time::SimDuration;
 use dibs_net::builders::FatTreeParams;
 use dibs_stats::{ExperimentRecord, SeriesPoint};
@@ -28,7 +28,7 @@ fn main() {
     let scale = h.scale;
     let labelled: Vec<(&str, f64)> =
         vec![("baseline", 300.0), ("heavy", 2000.0), ("extreme", 10000.0)];
-    let series = parallel_map(labelled, |(label, qps)| {
+    let series = h.executor().map(labelled, |(label, qps)| {
         let wl = MixedWorkload {
             qps,
             duration: scale.heavy_duration(),

@@ -12,7 +12,7 @@
 
 use dibs::presets::testbed_incast_sim;
 use dibs::SimConfig;
-use dibs_bench::{parallel_map, Harness};
+use dibs_bench::Harness;
 use dibs_stats::{ExperimentRecord, Samples, SeriesPoint};
 use dibs_switch::BufferConfig;
 
@@ -44,7 +44,7 @@ fn main() {
     let mut qct: Vec<(String, Samples)> = Vec::new();
     let mut flow_dur: Vec<(String, Samples)> = Vec::new();
     for (name, cfg) in &variants {
-        let runs = parallel_map((0..reps).collect::<Vec<u64>>(), |seed| {
+        let runs = h.executor().map((0..reps).collect::<Vec<u64>>(), |seed| {
             let results = testbed_incast_sim(cfg.with_seed(seed + 1), 5, 10, 32_000).run();
             let q = results.queries[0]
                 .qct

@@ -11,7 +11,7 @@
 
 use dibs::presets::{mixed_workload_sim, MixedWorkload};
 use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, parallel_map, Harness};
+use dibs_bench::{baseline_vs_dibs_point, Harness};
 use dibs_engine::time::SimDuration;
 use dibs_net::builders::FatTreeParams;
 use dibs_stats::ExperimentRecord;
@@ -30,7 +30,7 @@ fn main() {
 
     let sweep = [10u64, 20, 40, 80, 120];
     let scale = h.scale;
-    let points = parallel_map(sweep.to_vec(), |ia| {
+    let points = h.executor().map(sweep.to_vec(), |ia| {
         // Heavy background needs the shorter window to stay tractable.
         let duration = if ia <= 20 {
             scale.heavy_duration()

@@ -10,7 +10,7 @@
 
 use dibs::presets::{mixed_workload_sim, MixedWorkload};
 use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, parallel_map, Harness};
+use dibs_bench::{baseline_vs_dibs_point, Harness};
 use dibs_net::builders::FatTreeParams;
 use dibs_stats::ExperimentRecord;
 
@@ -28,7 +28,7 @@ fn main() {
 
     let sweep = [20u64, 30, 40, 50];
     let base_wl = h.workload();
-    let points = parallel_map(sweep.to_vec(), |kb| {
+    let points = h.executor().map(sweep.to_vec(), |kb| {
         let wl = MixedWorkload {
             response_bytes: kb * 1000,
             ..base_wl

@@ -8,7 +8,7 @@
 
 use dibs::presets::{mixed_workload_sim, MixedWorkload};
 use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, parallel_map, Harness};
+use dibs_bench::{baseline_vs_dibs_point, Harness};
 use dibs_net::builders::FatTreeParams;
 use dibs_stats::ExperimentRecord;
 
@@ -26,7 +26,7 @@ fn main() {
 
     let sweep = [60u64, 80, 100, 120, 160];
     let scale = h.scale;
-    let points = parallel_map(sweep.to_vec(), |kb| {
+    let points = h.executor().map(sweep.to_vec(), |kb| {
         let wl = MixedWorkload {
             qps: 2000.0,
             response_bytes: kb * 1000,

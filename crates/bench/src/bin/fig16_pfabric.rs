@@ -9,7 +9,7 @@
 
 use dibs::presets::{mixed_workload_sim, MixedWorkload};
 use dibs::SimConfig;
-use dibs_bench::{parallel_map, Harness};
+use dibs_bench::Harness;
 use dibs_net::builders::FatTreeParams;
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 
@@ -29,7 +29,7 @@ fn main() {
 
     let sweep = [300.0f64, 500.0, 1000.0, 1500.0, 2000.0];
     let base_wl = h.workload();
-    let points = parallel_map(sweep.to_vec(), |qps| {
+    let points = h.executor().map(sweep.to_vec(), |qps| {
         let wl = MixedWorkload { qps, ..base_wl };
         let tree = FatTreeParams::paper_default();
         let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs(), wl).run();

@@ -147,7 +147,7 @@ fn bench_fib(s: &mut Suite) {
 
 fn bench_e2e(s: &mut Suite) {
     let g = Group::new("e2e");
-    // Mirrors `benches/e2e_sim.rs`: one full testbed incast per iteration.
+    // One full testbed incast per iteration.
     let (senders, bytes) = if s.smoke { (4, 32_000) } else { (10, 32_000) };
     for (name, cfg) in [
         ("incast_dibs", SimConfig::dctcp_dibs()),

@@ -11,7 +11,7 @@
 
 use dibs::presets::fairness_sim;
 use dibs::SimConfig;
-use dibs_bench::{parallel_map, Harness};
+use dibs_bench::Harness;
 use dibs_engine::time::SimTime;
 use dibs_net::builders::FatTreeParams;
 use dibs_stats::{ExperimentRecord, SeriesPoint};
@@ -31,7 +31,7 @@ fn main() {
     rec.param("pairs", 64).param("horizon_ms", horizon_ms);
 
     let sweep = [1usize, 2, 4, 8, 16];
-    let points = parallel_map(sweep.to_vec(), |n| {
+    let points = h.executor().map(sweep.to_vec(), |n| {
         let run = |cfg: SimConfig| {
             let mut cfg = cfg.with_seed(5);
             cfg.throughput_warmup = Some(SimTime::from_millis(horizon_ms / 4));

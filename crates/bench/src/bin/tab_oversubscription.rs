@@ -10,7 +10,7 @@
 
 use dibs::presets::mixed_workload_sim;
 use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, parallel_map, Harness};
+use dibs_bench::{baseline_vs_dibs_point, Harness};
 use dibs_net::builders::FatTreeParams;
 use dibs_stats::ExperimentRecord;
 
@@ -28,7 +28,7 @@ fn main() {
         .param("duration_ms", h.scale.duration().as_millis_f64());
 
     let wl = h.workload();
-    let points = parallel_map(vec![1u64, 2, 3, 4], |div| {
+    let points = h.executor().map(vec![1u64, 2, 3, 4], |div| {
         let tree = FatTreeParams::oversubscribed(div);
         let mut base = mixed_workload_sim(tree, SimConfig::dctcp_baseline(), wl).run();
         let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs(), wl).run();

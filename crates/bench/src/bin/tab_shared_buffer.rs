@@ -11,7 +11,7 @@
 //! (the paper reports 75.4 %).
 
 use dibs::{SimConfig, Simulation};
-use dibs_bench::{parallel_map, Harness};
+use dibs_bench::Harness;
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::SimTime;
 use dibs_net::builders::{fat_tree, FatTreeParams};
@@ -59,7 +59,7 @@ fn main() {
         .param("response_kb", 20);
 
     let sweep = [40usize, 100, 150, 200, 300, 400];
-    let points = parallel_map(sweep.to_vec(), |deg| {
+    let points = h.executor().map(sweep.to_vec(), |deg| {
         let dba = BufferConfig::arista_like();
         let mut base_cfg = SimConfig::dctcp_baseline();
         base_cfg.switch.buffer = dba;

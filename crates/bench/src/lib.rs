@@ -235,21 +235,6 @@ impl Harness {
     }
 }
 
-/// Runs `f` over `items` through the deterministic sweep executor
-/// ([`dibs_harness::Executor::from_env`]); preserves input order.
-///
-/// Prefer [`Harness::executor`] in new code so `--jobs` is honored; this
-/// free function exists for binaries that have no `Harness` in scope and
-/// obeys `DIBS_JOBS` only.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    Executor::from_env().map(items, f)
-}
-
 /// Extracts the standard pair of paper metrics from a finished run:
 /// `(qct_p99_ms, bg_short_fct_p99_ms)`.
 pub fn headline_metrics(results: &mut RunResults) -> (f64, f64) {
@@ -276,12 +261,6 @@ pub fn baseline_vs_dibs_point(x: f64, base: &mut RunResults, dibs: &mut RunResul
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect::<Vec<i32>>(), |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn scale_windows_are_ordered() {

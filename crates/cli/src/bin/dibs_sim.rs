@@ -12,27 +12,26 @@
 //!                   list (`enqueue,detour`), or `flight[:CAP][:kinds]`.
 //!                   Defaults to the DIBS_TRACE env var. Chrome-viewable
 //!                   JSON is written under results/.
-//!   --fault <SPEC>  inject faults; SPEC is `off` or `;`-separated clauses
-//!                   like `link-down:t=2ms:edge3-aggr1:dur=500us`,
-//!                   `switch-crash:t=5ms:core0`, `drop:p=1e-4:kind=detoured`,
-//!                   `corrupt:p=1e-5`, or `random:<budget>`. Defaults to
-//!                   the DIBS_FAULT env var.
 //!   --digest        print one `digest <file> <scheme> <fingerprint>` line
 //!                   per run (tracing never changes these lines)
 //!   --help          show this message
 //! ```
 //!
+//! Faults are part of the scenario (its `"faults"` field), so one file
+//! reproduces a faulted run, including a failing `simtest` case written to
+//! `results/simtest_fail_<seed>.json`.
+//!
 //! Independent runs (each scenario file × scheme) fan out across the
 //! deterministic sweep executor; reports are printed in argument order, so
 //! output is identical for every `--jobs` value.
 
-use dibs::{FaultSpec, RunDigest, TraceReport, TraceSpec, Tracer};
+use dibs::{RunDigest, TraceReport, TraceSpec, Tracer};
 use dibs_cli::{Report, Scenario, Scheme};
 use dibs_harness::Executor;
 use std::process::ExitCode;
 
 const USAGE: &str = "Usage: dibs-sim [--json] [--compare] [--seed N] [--jobs N] \
-                     [--trace SPEC] [--fault SPEC] [--digest] <scenario.json>...";
+                     [--trace SPEC] [--digest] <scenario.json>...";
 
 /// Renders, validates, and writes one run's Chrome trace under `results/`.
 fn export_chrome_trace(trace: &TraceReport, path: &str, scheme: Scheme) {
@@ -67,7 +66,6 @@ fn main() -> ExitCode {
     let mut digest = false;
     let mut seed: Option<u64> = None;
     let mut trace_arg: Option<String> = None;
-    let mut fault_arg: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
 
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
@@ -92,13 +90,6 @@ fn main() -> ExitCode {
                 Some(s) => trace_arg = Some(s),
                 None => {
                     eprintln!("--trace needs a spec (off|all|kinds|flight[:CAP][:kinds])\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fault" => match args.next() {
-                Some(s) => fault_arg = Some(s),
-                None => {
-                    eprintln!("--fault needs a spec (off or `;`-separated clauses)\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -127,21 +118,6 @@ fn main() -> ExitCode {
             Some(Ok(spec)) => spec,
             Some(Err(e)) => {
                 eprintln!("bad trace spec: {e}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
-    // --fault beats DIBS_FAULT; absent both, no faults are injected.
-    // Syntax and consistency errors fail here; name-binding errors
-    // surface per scenario (they depend on the topology).
-    let fault_spec = {
-        let raw_spec = fault_arg.or_else(|| std::env::var("DIBS_FAULT").ok());
-        match raw_spec.as_deref().map(str::parse::<FaultSpec>) {
-            None => FaultSpec::off(),
-            Some(Ok(spec)) => spec,
-            Some(Err(e)) => {
-                eprintln!("bad fault spec: {e}\n{USAGE}");
                 return ExitCode::FAILURE;
             }
         }
@@ -186,15 +162,6 @@ fn main() -> ExitCode {
             Err(e) => return (path, scheme, Err(e)),
         };
         sim.set_tracer(Tracer::from_spec(&trace_spec));
-        if let Err(e) = sim.set_faults(&fault_spec) {
-            return (
-                path,
-                scheme,
-                Err(dibs_cli::scenario::ScenarioError(format!(
-                    "fault spec: {e}"
-                ))),
-            );
-        }
         let started = std::time::Instant::now();
         let mut results = sim.run();
         let wall = started.elapsed();

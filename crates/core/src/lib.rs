@@ -17,6 +17,8 @@
 //! * [`SimConfig`] — Table 1/2 of the paper as data, with presets for
 //!   DCTCP-baseline, DCTCP+DIBS, and pFabric.
 //! * [`presets`] — the §5.2/§5.3 experiment setups used by every figure.
+//! * [`scenario`] — the JSON description of one run (topology, scheme,
+//!   traffic, faults) that `dibs-sim` and the `simtest` soak both build.
 //!
 //! ## Quick start
 //!
@@ -37,6 +39,7 @@ pub mod config;
 pub mod presets;
 pub mod results;
 pub mod rundesc;
+pub mod scenario;
 pub mod sim;
 
 pub use config::{EcmpMode, PfcConfig, SimConfig, SwitchArch};

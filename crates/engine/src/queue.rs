@@ -434,11 +434,9 @@ impl<E> EventQueue<E> {
 
 /// The binary-heap future-event list the timing wheel replaced.
 ///
-/// Kept (behind the default-on `heap-oracle` feature) as the reference
-/// implementation for differential tests and benchmarks: its pop order is
-/// the specification the wheel must reproduce exactly. Disable with
-/// `--no-default-features` to strip it from a build.
-#[cfg(feature = "heap-oracle")]
+/// Kept as the reference implementation for differential tests and
+/// benchmarks: its pop order is the specification the wheel must
+/// reproduce exactly.
 pub mod heap {
     use crate::time::SimTime;
     use std::cmp::Ordering;
@@ -676,7 +674,6 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 1)));
     }
 
-    #[cfg(feature = "heap-oracle")]
     #[test]
     fn heap_oracle_matches_on_ties() {
         let mut w = EventQueue::new();

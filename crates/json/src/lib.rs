@@ -489,10 +489,19 @@ macro_rules! num_json {
                 let n = v
                     .as_f64()
                     .ok_or_else(|| JsonError::msg(format!("expected number, got {v:?}")))?;
+                // Numbers are parsed into an `f64`, which holds every
+                // integer below 2^53 exactly; at 2^53 and above the text
+                // may already have been rounded, so refuse rather than
+                // return a neighbouring value.
+                if n.fract() != 0.0 || n.abs() >= MAX_EXACT_INT {
+                    return Err(JsonError::msg(format!(
+                        "number {n} is not an integer below 2^53"
+                    )));
+                }
                 // A lossy cast is checked just below by round-tripping.
                 #[allow(clippy::cast_possible_truncation)]
                 let cast = n as $t;
-                if (cast as f64 - n).abs() > 1e-9 {
+                if cast as f64 != n {
                     return Err(JsonError::msg(format!(
                         "number {n} out of range for {}",
                         stringify!($t)
@@ -838,6 +847,21 @@ mod tests {
 
         assert_eq!(Option::<u64>::from_json(&Json::Null).unwrap(), None);
         assert_eq!(u8::from_json(&Json::Num(300.0)).ok(), None);
+    }
+
+    #[test]
+    fn integers_f64_cannot_hold_exactly_are_rejected() {
+        let int = |text: &str| u64::from_json(&Json::parse(text).unwrap());
+        assert_eq!(int("9007199254740991").unwrap(), (1 << 53) - 1);
+        // 2^53 + 1 parses to the same f64 as 2^53, so both are refused.
+        assert!(int("9007199254740992").is_err());
+        assert!(int("9007199254740993").is_err());
+        let err = int("12345678901234567891").unwrap_err();
+        assert!(err.0.contains("2^53"), "{err}");
+        assert!(i64::from_json(&Json::parse("-9007199254740993").unwrap()).is_err());
+        assert!(u32::from_json(&Json::parse("1.5").unwrap()).is_err());
+        assert!(u32::from_json(&Json::parse("4294967296").unwrap()).is_err());
+        assert!(u64::from_json(&Json::parse("-1").unwrap()).is_err());
     }
 
     #[test]

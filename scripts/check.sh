@@ -35,8 +35,10 @@ if [[ $quick -eq 0 ]]; then
         cargo test --workspace --offline -q -- --include-ignored
         echo "==> perf_hotpath --smoke (hot-path bench suite, CI-sized)"
         cargo run -q -p dibs-bench --release --offline --bin perf_hotpath -- --smoke
-        echo "==> simtest --smoke (64-seed fault-injection soak)"
-        cargo run -q -p dibs-harness --release --offline --bin simtest -- --smoke
+        # Dev profile on purpose: the runtime auditor (conservation ledger,
+        # occupancy and TTL checks) only exists under debug assertions.
+        echo "==> simtest --smoke (64-seed fault-injection soak, audited dev build)"
+        cargo run -q -p dibs-harness --offline --bin simtest -- --smoke
         echo "==> trace smoke (traced incast: valid Chrome JSON, digest unchanged)"
         tmp=$(mktemp -d)
         trap 'rm -rf "$tmp"' EXIT
