@@ -6,10 +6,8 @@
 //! counts, and detour volume. This quantifies the paper's position that
 //! parameterless random detouring captures nearly all of the benefit.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{RunDescriptor, SimConfig};
-use dibs_bench::Harness;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 use dibs_switch::DibsPolicy;
 
@@ -23,7 +21,7 @@ fn main() {
     rec.param("incast_degree", 40)
         .param("response_kb", 20)
         .param("bg_interarrival_ms", 120)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
     let policies: [(&str, DibsPolicy); 5] = [
         ("droptail", DibsPolicy::Disabled),
@@ -32,20 +30,22 @@ fn main() {
         ("flowbased", DibsPolicy::FlowBased),
         ("prob85", DibsPolicy::Probabilistic { onset: 0.85 }),
     ];
-    let wl0 = h.workload();
+    let scale = h.scale;
     let master = h.master_seed;
     let points = h.executor().map(vec![300.0f64, 1000.0, 2000.0], |qps| {
         // Every policy arm at a point sees identical traffic.
         // Sweep points are whole qps values well under 2^53.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let point = qps as u64;
-        let seed =
-            RunDescriptor::new("abl_detour_policies", "paired", point, 0).paired_seed(master);
-        let wl = MixedWorkload { qps, ..wl0 };
+        let sc = Scenario {
+            seed: RunDescriptor::new("abl_detour_policies", "paired", point, 0).paired_seed(master),
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(120, qps, 40, 20_000)
+        };
         let mut point = SeriesPoint::at(qps);
         for (name, policy) in policies {
-            let cfg = SimConfig::dctcp_dibs().with_policy(policy).with_seed(seed);
-            let mut r = mixed_workload_sim(FatTreeParams::paper_default(), cfg, wl).run();
+            let mut r = run(&sc, SimConfig::dctcp_dibs().with_policy(policy));
             point = point
                 .with(
                     &format!("qct_p99_ms_{name}"),

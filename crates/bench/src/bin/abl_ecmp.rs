@@ -6,10 +6,8 @@
 //! mixed workload under flow-level ECMP, packet-level ECMP (spraying), and
 //! flow-level ECMP + DIBS.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{EcmpMode, RunDescriptor, SimConfig};
-use dibs_bench::Harness;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, EcmpMode, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 use dibs_transport::FastRetransmit;
 
@@ -23,27 +21,29 @@ fn main() {
     rec.param("incast_degree", 40)
         .param("response_kb", 20)
         .param("bg_interarrival_ms", 120)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
-    let wl0 = h.workload();
+    let scale = h.scale;
     let master = h.master_seed;
     let points = h.executor().map(vec![300.0f64, 1000.0, 2000.0], |qps| {
         // Sweep points are whole qps values well under 2^53.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let point = qps as u64;
-        let seed = RunDescriptor::new("abl_ecmp", "paired", point, 0).paired_seed(master);
-        let wl = MixedWorkload { qps, ..wl0 };
-        let tree = FatTreeParams::paper_default();
+        let sc = Scenario {
+            seed: RunDescriptor::new("abl_ecmp", "paired", point, 0).paired_seed(master),
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(120, qps, 40, 20_000)
+        };
 
-        let mut flow_ecmp =
-            mixed_workload_sim(tree, SimConfig::dctcp_baseline().with_seed(seed), wl).run();
+        let mut flow_ecmp = run(&sc, SimConfig::dctcp_baseline());
         // Packet spraying reorders, so give it the same dupack forbearance
         // DIBS gets.
-        let mut spray_cfg = SimConfig::dctcp_baseline().with_seed(seed);
+        let mut spray_cfg = SimConfig::dctcp_baseline();
         spray_cfg.ecmp = EcmpMode::PacketLevel;
         spray_cfg.tcp.fast_retransmit = FastRetransmit::Disabled;
-        let mut spray = mixed_workload_sim(tree, spray_cfg, wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs().with_seed(seed), wl).run();
+        let mut spray = run(&sc, spray_cfg);
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
 
         SeriesPoint::at(qps)
             .with(

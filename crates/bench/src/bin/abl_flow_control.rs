@@ -7,10 +7,8 @@
 //! This bench quantifies that: mixed workload, three query intensities,
 //! droptail vs PFC vs DIBS.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{PfcConfig, RunDescriptor, SimConfig};
-use dibs_bench::Harness;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, PfcConfig, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 
 fn main() {
@@ -25,24 +23,26 @@ fn main() {
         .param("bg_interarrival_ms", 120)
         .param("pfc_xoff", 12)
         .param("pfc_xon", 6)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
-    let wl0 = h.workload();
+    let scale = h.scale;
     let master = h.master_seed;
     let points = h.executor().map(vec![300.0f64, 1000.0, 2000.0], |qps| {
         // Sweep points are whole qps values well under 2^53.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let point = qps as u64;
-        let seed = RunDescriptor::new("abl_flow_control", "paired", point, 0).paired_seed(master);
-        let wl = MixedWorkload { qps, ..wl0 };
-        let tree = FatTreeParams::paper_default();
+        let sc = Scenario {
+            seed: RunDescriptor::new("abl_flow_control", "paired", point, 0).paired_seed(master),
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(120, qps, 40, 20_000)
+        };
 
-        let mut droptail =
-            mixed_workload_sim(tree, SimConfig::dctcp_baseline().with_seed(seed), wl).run();
-        let mut pfc_cfg = SimConfig::dctcp_baseline().with_seed(seed);
+        let mut droptail = run(&sc, SimConfig::dctcp_baseline());
+        let mut pfc_cfg = SimConfig::dctcp_baseline();
         pfc_cfg.pfc = Some(PfcConfig::default_for_paper_buffers());
-        let mut pfc = mixed_workload_sim(tree, pfc_cfg, wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs().with_seed(seed), wl).run();
+        let mut pfc = run(&sc, pfc_cfg);
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
 
         SeriesPoint::at(qps)
             .with(

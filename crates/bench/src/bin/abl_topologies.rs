@@ -6,74 +6,38 @@
 //! incast-over-background workload on comparable instances of each family
 //! and reports the DCTCP-vs-DIBS gap.
 
-use dibs::{RunDescriptor, SimConfig, Simulation};
-use dibs_bench::Harness;
-use dibs_engine::rng::SimRng;
-use dibs_engine::time::SimDuration;
-use dibs_net::builders::{
-    fat_tree, hyperx, jellyfish, linear, FatTreeParams, HyperXParams, JellyfishParams,
-};
-use dibs_net::topology::{LinkSpec, Topology};
+use dibs::scenario::TopologySpec;
+use dibs::{presets, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
-use dibs_workload::{BackgroundTraffic, QueryTraffic};
 
-fn build(name: &str) -> Topology {
-    let gbit = LinkSpec::gbit(1);
-    match name {
-        "fat_tree_k8" => fat_tree(FatTreeParams::paper_default()),
-        // ~128 hosts each, comparable switch counts.
-        "jellyfish" => {
-            let mut rng = SimRng::new(99);
-            jellyfish(
-                JellyfishParams {
-                    switches: 43,
-                    degree: 8,
-                    hosts_per_switch: 3,
-                    host_link: gbit,
-                    fabric_link: gbit,
-                },
-                &mut rng,
-            )
-        }
-        "hyperx_4x4" => hyperx(HyperXParams {
-            shape: &[4, 4],
-            hosts_per_switch: 8,
-            host_link: gbit,
-            fabric_link: gbit,
-        }),
-        "linear_x8" => linear(8, 16, gbit),
-        other => panic!("unknown topology {other}"),
-    }
-}
-
-fn run(
-    topo: Topology,
-    cfg: SimConfig,
-    duration: SimDuration,
-    drain: SimDuration,
-) -> dibs::RunResults {
-    let hosts = topo.num_hosts();
-    let mut cfg = cfg;
-    cfg.horizon = dibs_engine::time::SimTime::ZERO + duration + drain;
-    let mut sim = Simulation::new(topo, cfg);
-    let root = SimRng::new(cfg.seed);
-    let mut bg_rng = root.fork("workload/background");
-    let mut q_rng = root.fork("workload/query");
-    sim.add_flows(
-        BackgroundTraffic::paper(SimDuration::from_millis(120)).generate(
-            hosts,
-            duration,
-            &mut bg_rng,
+/// The compared fabrics, ~128 hosts each with comparable switch counts.
+fn topologies() -> [(&'static str, TopologySpec); 4] {
+    [
+        ("fat_tree_k8", presets::fat_tree(8)),
+        (
+            "jellyfish",
+            TopologySpec::Jellyfish {
+                switches: 43,
+                degree: 8,
+                hosts_per_switch: 3,
+            },
         ),
-    );
-    let queries = QueryTraffic {
-        qps: 1000.0,
-        degree: 40.min(hosts - 1),
-        response_bytes: 20_000,
-    }
-    .generate(hosts, duration, &mut q_rng);
-    sim.add_queries(&queries);
-    sim.run()
+        (
+            "hyperx_4x4",
+            TopologySpec::Hyperx {
+                shape: vec![4, 4],
+                hosts_per_switch: 8,
+            },
+        ),
+        (
+            "linear_x8",
+            TopologySpec::Linear {
+                switches: 8,
+                hosts_per_switch: 16,
+            },
+        ),
+    ]
 }
 
 fn main() {
@@ -86,28 +50,26 @@ fn main() {
     rec.param("qps", 1000)
         .param("incast_degree", 40)
         .param("response_kb", 20)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
-    let names = ["fat_tree_k8", "jellyfish", "hyperx_4x4", "linear_x8"];
     let scale = h.scale;
     let master = h.master_seed;
-    let points = h
-        .executor()
-        .map(names.iter().enumerate().collect(), |(i, name)| {
-            let seed =
-                RunDescriptor::new("abl_topologies", "paired", i as u64, 0).paired_seed(master);
-            let mut base = run(
-                build(name),
-                SimConfig::dctcp_baseline().with_seed(seed),
-                scale.duration(),
-                scale.drain(),
-            );
-            let mut dibs = run(
-                build(name),
-                SimConfig::dctcp_dibs().with_seed(seed),
-                scale.duration(),
-                scale.drain(),
-            );
+    let topologies = topologies();
+    let points = h.executor().map(
+        topologies.iter().enumerate().collect(),
+        |(i, (_, topology))| {
+            // The Jellyfish wiring is drawn from the seed too, so both arms
+            // of a point share one graph.
+            let sc = Scenario {
+                seed: RunDescriptor::new("abl_topologies", "paired", i as u64, 0)
+                    .paired_seed(master),
+                topology: topology.clone(),
+                duration_ms: scale.duration_ms(),
+                drain_ms: scale.drain_ms(),
+                ..presets::mixed(120, 1000.0, 40, 20_000)
+            };
+            let mut base = run(&sc, SimConfig::dctcp_baseline());
+            let mut dibs = run(&sc, SimConfig::dctcp_dibs());
             SeriesPoint::at(i as f64)
                 .with("qct_p99_ms_dctcp", base.qct_p99_ms().unwrap_or(f64::NAN))
                 .with("qct_p99_ms_dibs", dibs.qct_p99_ms().unwrap_or(f64::NAN))
@@ -115,8 +77,9 @@ fn main() {
                 .with("drops_dibs", dibs.counters.total_drops() as f64)
                 .with("detours_dibs", dibs.counters.detours as f64)
                 .with("qct_done_frac_dibs", dibs.query_completion_rate())
-        });
-    for (i, name) in names.iter().enumerate() {
+        },
+    );
+    for (i, (name, _)) in topologies.iter().enumerate() {
         rec.param(&format!("topology_{i}"), *name);
     }
     for p in points {

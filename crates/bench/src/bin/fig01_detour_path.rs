@@ -7,20 +7,25 @@
 //! Pass `--trace SPEC` to change the capture and also dump the
 //! Chrome-viewable JSON.
 
-use dibs::presets::single_incast_sim;
-use dibs::SimConfig;
+use dibs::{presets, Scenario, SimConfig};
 use dibs_bench::Harness;
-use dibs_net::builders::{fat_tree, FatTreeParams};
 use dibs_net::ids::NodeId;
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 use dibs_trace::{delivered_path, TraceKind};
 use std::collections::BTreeMap;
 
+/// The incast target; responders go round-robin over hosts 1-100.
+const TARGET: u32 = 0;
+
 fn main() {
     let h = Harness::from_env();
-    let mut cfg = SimConfig::dctcp_dibs();
-    cfg.seed = 12;
-    let mut sim = single_incast_sim(FatTreeParams::paper_default(), cfg, 100, 20_000);
+    let sc = Scenario {
+        seed: 12,
+        ..presets::single_incast(8, TARGET, 100, 20_000)
+    };
+    let mut sim = sc
+        .build_with(SimConfig::dctcp_dibs())
+        .expect("the incast scenario builds");
     // The path query needs each packet's source, queue admissions and
     // delivery; a user --trace spec widens (or narrows) the capture.
     sim.set_tracer(h.tracer_or("send,retransmit,ack,enqueue,detour,deliver"));
@@ -30,7 +35,7 @@ fn main() {
         return;
     };
     let events = &trace.events;
-    let topo = fat_tree(FatTreeParams::paper_default());
+    let topo = sc.topology.build(sc.seed);
 
     let detoured = || {
         events
@@ -74,7 +79,9 @@ fn main() {
         "Most-detoured packet path (Fig 1)",
         "metric",
     );
-    rec.param("incast_degree", 100).param("response_kb", 20);
+    rec.param("incast_degree", 100)
+        .param("response_kb", 20)
+        .param("target", TARGET);
     rec.push(
         SeriesPoint::at(0.0)
             .with("max_detours", f64::from(most.detours))

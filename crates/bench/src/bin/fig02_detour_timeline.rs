@@ -13,21 +13,26 @@
 //! recorder. Pass `--trace SPEC` to widen the capture and also dump the
 //! Chrome-viewable JSON.
 
-use dibs::presets::single_incast_sim;
-use dibs::SimConfig;
+use dibs::{presets, Scenario, SimConfig};
 use dibs_bench::Harness;
-use dibs_net::builders::{fat_tree, FatTreeParams};
 use dibs_net::ids::NodeId;
 use dibs_net::topology::SwitchLayer;
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 use dibs_trace::{OccupancyTracker, TraceKind};
 use std::collections::BTreeMap;
 
+/// The incast target; responders go round-robin over hosts 1-100.
+const TARGET: u32 = 0;
+
 fn main() {
     let h = Harness::from_env();
-    let mut cfg = SimConfig::dctcp_dibs();
-    cfg.seed = 12;
-    let mut sim = single_incast_sim(FatTreeParams::paper_default(), cfg, 100, 20_000);
+    let sc = Scenario {
+        seed: 12,
+        ..presets::single_incast(8, TARGET, 100, 20_000)
+    };
+    let mut sim = sc
+        .build_with(SimConfig::dctcp_dibs())
+        .expect("the incast scenario builds");
     // The figure needs every queue transition; a user --trace spec widens
     // (or narrows) the capture at their own risk.
     sim.set_tracer(h.tracer_or("enqueue,dequeue,detour"));
@@ -37,7 +42,7 @@ fn main() {
         return;
     };
     let events = &trace.events;
-    let topo = fat_tree(FatTreeParams::paper_default());
+    let topo = sc.topology.build(sc.seed);
 
     // (a) detour scatter, bucketed per 0.5 ms per layer, straight from the
     // Detour trace events.
@@ -143,7 +148,9 @@ fn main() {
         "Detours and buffer occupancy during a burst (Fig 2)",
         "metric",
     );
-    rec.param("incast_degree", 100).param("response_kb", 20);
+    rec.param("incast_degree", 100)
+        .param("response_kb", 20)
+        .param("target", TARGET);
     let switches_detouring = results
         .detours_per_switch
         .iter()

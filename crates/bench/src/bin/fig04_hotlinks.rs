@@ -5,11 +5,8 @@
 //! any instant — congestion is localized, which is what gives DIBS spare
 //! buffers nearby.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
-use dibs_bench::Harness;
-use dibs_engine::time::SimDuration;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 
 fn main() {
@@ -21,22 +18,19 @@ fn main() {
     );
     rec.param("workloads", "300 / 2000 / 10000 qps")
         .param("sample_interval_ms", 1)
-        .param("duration_ms", h.scale.heavy_duration().as_millis_f64());
+        .param("duration_ms", h.scale.heavy_duration_ms());
 
     let scale = h.scale;
     let labelled: Vec<(&str, f64)> =
         vec![("baseline", 300.0), ("heavy", 2000.0), ("extreme", 10000.0)];
     let series = h.executor().map(labelled, |(label, qps)| {
-        let wl = MixedWorkload {
-            qps,
-            duration: scale.heavy_duration(),
-            drain: scale.drain(),
-            ..MixedWorkload::paper_default()
+        let sc = Scenario {
+            duration_ms: scale.heavy_duration_ms(),
+            drain_ms: scale.drain_ms(),
+            sample_interval_ms: 1,
+            ..presets::mixed(120, qps, 40, 20_000)
         };
-        let mut cfg = SimConfig::dctcp_dibs();
-        cfg.sample_interval = Some(SimDuration::from_millis(1));
-        cfg.hot_link_threshold = 0.9;
-        let results = mixed_workload_sim(FatTreeParams::paper_default(), cfg, wl).run();
+        let results = run(&sc, SimConfig::dctcp_dibs());
         (label, results.hot_fraction_samples)
     });
 

@@ -10,9 +10,8 @@
 //! retransmission timeout (Fig 6b) and every query is held back by at
 //! least one such flow.
 
-use dibs::presets::testbed_incast_sim;
-use dibs::SimConfig;
-use dibs_bench::Harness;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, Samples, SeriesPoint};
 use dibs_switch::BufferConfig;
 
@@ -35,8 +34,11 @@ fn main() {
         "Testbed incast: QCT and per-flow durations over 50 runs (Fig 6)",
         "percentile",
     );
+    // Round-robin responders: 50 flows are 10 from each of hosts 0-4.
+    let incast = presets::testbed_incast(50, 32_000);
     rec.param("senders", 5)
         .param("flows_per_sender", 10)
+        .param("target", 5)
         .param("flow_kb", 32)
         .param("repetitions", reps);
 
@@ -45,7 +47,11 @@ fn main() {
     let mut flow_dur: Vec<(String, Samples)> = Vec::new();
     for (name, cfg) in &variants {
         let runs = h.executor().map((0..reps).collect::<Vec<u64>>(), |seed| {
-            let results = testbed_incast_sim(cfg.with_seed(seed + 1), 5, 10, 32_000).run();
+            let sc = Scenario {
+                seed: seed + 1,
+                ..incast.clone()
+            };
+            let results = run(&sc, *cfg);
             let q = results.queries[0]
                 .qct
                 .map(|d| d.as_millis_f64())

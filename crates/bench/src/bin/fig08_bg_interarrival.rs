@@ -9,11 +9,8 @@
 //! FCT rises by under ~2 ms (little collateral damage, independent of
 //! background intensity).
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_engine::time::SimDuration;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -26,26 +23,24 @@ fn main() {
     rec.param("qps", 300)
         .param("incast_degree", 40)
         .param("response_kb", 20)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
     let sweep = [10u64, 20, 40, 80, 120];
     let scale = h.scale;
     let points = h.executor().map(sweep.to_vec(), |ia| {
         // Heavy background needs the shorter window to stay tractable.
-        let duration = if ia <= 20 {
-            scale.heavy_duration()
+        let duration_ms = if ia <= 20 {
+            scale.heavy_duration_ms()
         } else {
-            scale.duration()
+            scale.duration_ms()
         };
-        let wl = MixedWorkload {
-            bg_interarrival: SimDuration::from_millis(ia),
-            duration,
-            drain: scale.drain(),
-            ..MixedWorkload::paper_default()
+        let sc = Scenario {
+            duration_ms,
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(ia, 300.0, 40, 20_000)
         };
-        let tree = FatTreeParams::paper_default();
-        let mut base = mixed_workload_sim(tree, SimConfig::dctcp_baseline(), wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs(), wl).run();
+        let mut base = run(&sc, SimConfig::dctcp_baseline());
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
         baseline_vs_dibs_point(ia as f64, &mut base, &mut dibs)
     });
     for p in points {

@@ -7,10 +7,8 @@
 //! highest rates DIBS also *improves* background FCT, because without it
 //! background flows start losing packets to query bursts.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{RunDescriptor, SimConfig};
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -23,21 +21,23 @@ fn main() {
     rec.param("bg_interarrival_ms", 120)
         .param("incast_degree", 40)
         .param("response_kb", 20)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
     let sweep = [300.0f64, 500.0, 1000.0, 1500.0, 2000.0];
-    let base_wl = h.workload();
+    let scale = h.scale;
     let master = h.master_seed;
     let points = h.executor().map(sweep.to_vec(), |qps| {
         // Sweep points are whole qps values well under 2^53.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let point = qps as u64;
-        let seed = RunDescriptor::new("fig09_query_rate", "paired", point, 0).paired_seed(master);
-        let wl = MixedWorkload { qps, ..base_wl };
-        let tree = FatTreeParams::paper_default();
-        let mut base =
-            mixed_workload_sim(tree, SimConfig::dctcp_baseline().with_seed(seed), wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs().with_seed(seed), wl).run();
+        let sc = Scenario {
+            seed: RunDescriptor::new("fig09_query_rate", "paired", point, 0).paired_seed(master),
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(120, qps, 40, 20_000)
+        };
+        let mut base = run(&sc, SimConfig::dctcp_baseline());
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
         baseline_vs_dibs_point(qps, &mut base, &mut dibs)
     });
     for p in points {

@@ -8,10 +8,8 @@
 //! and occasional spurious timeouts; background FCT damage grows mildly
 //! (1.2 ms at 20 KB to 4.4 ms at 50 KB); DIBS still never drops.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -24,18 +22,18 @@ fn main() {
     rec.param("bg_interarrival_ms", 120)
         .param("incast_degree", 40)
         .param("qps", 300)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
     let sweep = [20u64, 30, 40, 50];
-    let base_wl = h.workload();
+    let scale = h.scale;
     let points = h.executor().map(sweep.to_vec(), |kb| {
-        let wl = MixedWorkload {
-            response_bytes: kb * 1000,
-            ..base_wl
+        let sc = Scenario {
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(120, 300.0, 40, kb * 1000)
         };
-        let tree = FatTreeParams::paper_default();
-        let mut base = mixed_workload_sim(tree, SimConfig::dctcp_baseline(), wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs(), wl).run();
+        let mut base = run(&sc, SimConfig::dctcp_baseline());
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
         baseline_vs_dibs_point(kb as f64, &mut base, &mut dibs)
     });
     for p in points {

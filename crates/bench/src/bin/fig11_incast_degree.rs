@@ -8,10 +8,8 @@
 //! burst is `degree x init_cwnd` packets. At degree 100 around 1 % of
 //! packets take 40+ detours.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{RunDescriptor, SimConfig};
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -24,22 +22,21 @@ fn main() {
     rec.param("bg_interarrival_ms", 120)
         .param("qps", 300)
         .param("response_kb", 20)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
     let sweep = [40usize, 60, 80, 100];
-    let base_wl = h.workload();
+    let scale = h.scale;
     let master = h.master_seed;
     let points = h.executor().map(sweep.to_vec(), |deg| {
-        let seed =
-            RunDescriptor::new("fig11_incast_degree", "paired", deg as u64, 0).paired_seed(master);
-        let wl = MixedWorkload {
-            incast_degree: deg,
-            ..base_wl
+        let sc = Scenario {
+            seed: RunDescriptor::new("fig11_incast_degree", "paired", deg as u64, 0)
+                .paired_seed(master),
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(120, 300.0, deg, 20_000)
         };
-        let tree = FatTreeParams::paper_default();
-        let mut base =
-            mixed_workload_sim(tree, SimConfig::dctcp_baseline().with_seed(seed), wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs().with_seed(seed), wl).run();
+        let mut base = run(&sc, SimConfig::dctcp_baseline());
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
 
         baseline_vs_dibs_point(deg as f64, &mut base, &mut dibs)
             .with("dibs_frac_40plus_detours", dibs.detoured_at_least(40))

@@ -10,11 +10,8 @@
 //! TTL-24 anomaly: 24 can be *worse* than 12, because packets linger longer
 //! only to die anyway.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{RunDescriptor, SimConfig};
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_engine::time::SimDuration;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -24,26 +21,24 @@ fn main() {
         .param("qps", 300)
         .param("incast_degree", 40)
         .param("response_kb", 20)
-        .param("duration_ms", h.scale.heavy_duration().as_millis_f64());
+        .param("duration_ms", h.scale.heavy_duration_ms());
 
     let sweep = [12u8, 24, 36, 48, 255];
     let scale = h.scale;
     let master = h.master_seed;
     let points = h.executor().map(sweep.to_vec(), |ttl| {
-        let seed = RunDescriptor::new("fig13_ttl", "paired", u64::from(ttl), 0).paired_seed(master);
-        let wl = MixedWorkload {
-            bg_interarrival: SimDuration::from_millis(10),
-            duration: scale.heavy_duration(),
-            drain: scale.drain(),
-            ..MixedWorkload::paper_default()
+        let sc = Scenario {
+            seed: RunDescriptor::new("fig13_ttl", "paired", u64::from(ttl), 0).paired_seed(master),
+            duration_ms: scale.heavy_duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(10, 300.0, 40, 20_000)
         };
-        let tree = FatTreeParams::paper_default();
         let configure = |mut cfg: SimConfig| {
             cfg.tcp.initial_ttl = ttl;
-            cfg.with_seed(seed)
+            cfg
         };
-        let mut base = mixed_workload_sim(tree, configure(SimConfig::dctcp_baseline()), wl).run();
-        let mut dibs = mixed_workload_sim(tree, configure(SimConfig::dctcp_dibs()), wl).run();
+        let mut base = run(&sc, configure(SimConfig::dctcp_baseline()));
+        let mut dibs = run(&sc, configure(SimConfig::dctcp_dibs()));
         let ttl_drops = dibs.counters.drops_ttl as f64;
         baseline_vs_dibs_point(f64::from(ttl), &mut base, &mut dibs)
             .with("ttl_drops_dibs", ttl_drops)

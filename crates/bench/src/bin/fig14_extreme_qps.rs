@@ -7,10 +7,8 @@
 //! arrive, queues build everywhere, and detouring becomes *worse* than
 //! dropping. Below the tipping point DIBS still wins.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{RunDescriptor, SimConfig};
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, RunDescriptor, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -23,7 +21,7 @@ fn main() {
     rec.param("bg_interarrival_ms", 120)
         .param("incast_degree", 40)
         .param("response_kb", 20)
-        .param("duration_ms", h.scale.heavy_duration().as_millis_f64());
+        .param("duration_ms", h.scale.heavy_duration_ms());
 
     let sweep = [6000.0f64, 8000.0, 10000.0, 12000.0, 14000.0];
     let scale = h.scale;
@@ -32,18 +30,15 @@ fn main() {
         // Sweep points are whole qps values well under 2^53.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let point = qps as u64;
-        let seed = RunDescriptor::new("fig14_extreme_qps", "paired", point, 0).paired_seed(master);
-        let wl = MixedWorkload {
-            qps,
-            duration: scale.heavy_duration(),
+        let sc = Scenario {
+            seed: RunDescriptor::new("fig14_extreme_qps", "paired", point, 0).paired_seed(master),
+            duration_ms: scale.heavy_duration_ms(),
             // Generous drain: under collapse, completions trickle in late.
-            drain: scale.drain() * 2,
-            ..MixedWorkload::paper_default()
+            drain_ms: scale.drain_ms() * 2,
+            ..presets::mixed(120, qps, 40, 20_000)
         };
-        let tree = FatTreeParams::paper_default();
-        let mut base =
-            mixed_workload_sim(tree, SimConfig::dctcp_baseline().with_seed(seed), wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs().with_seed(seed), wl).run();
+        let mut base = run(&sc, SimConfig::dctcp_baseline());
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
         baseline_vs_dibs_point(qps, &mut base, &mut dibs)
             .with("qct_done_frac_dctcp", base.query_completion_rate())
             .with("qct_done_frac_dibs", dibs.query_completion_rate())

@@ -6,10 +6,8 @@
 //! gives DCTCP's ECN loop time to throttle the senders, so DIBS never
 //! reaches a tipping point here.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -22,21 +20,18 @@ fn main() {
     rec.param("bg_interarrival_ms", 120)
         .param("incast_degree", 40)
         .param("qps", 2000)
-        .param("duration_ms", h.scale.heavy_duration().as_millis_f64());
+        .param("duration_ms", h.scale.heavy_duration_ms());
 
     let sweep = [60u64, 80, 100, 120, 160];
     let scale = h.scale;
     let points = h.executor().map(sweep.to_vec(), |kb| {
-        let wl = MixedWorkload {
-            qps: 2000.0,
-            response_bytes: kb * 1000,
-            duration: scale.heavy_duration(),
-            drain: scale.drain() * 2,
-            ..MixedWorkload::paper_default()
+        let sc = Scenario {
+            duration_ms: scale.heavy_duration_ms(),
+            drain_ms: scale.drain_ms() * 2,
+            ..presets::mixed(120, 2000.0, 40, kb * 1000)
         };
-        let tree = FatTreeParams::paper_default();
-        let mut base = mixed_workload_sim(tree, SimConfig::dctcp_baseline(), wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs(), wl).run();
+        let mut base = run(&sc, SimConfig::dctcp_baseline());
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
         baseline_vs_dibs_point(kb as f64, &mut base, &mut dibs)
             .with("qct_done_frac_dibs", dibs.query_completion_rate())
     });

@@ -7,10 +7,8 @@
 //! edges out pFabric on QCT because pFabric's 24-packet buffers shed so
 //! many packets that its hosts retransmit excessively.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
-use dibs_bench::Harness;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 
 fn main() {
@@ -25,15 +23,18 @@ fn main() {
         .param("response_kb", 20)
         .param("pfabric_buffer_pkts", 24)
         .param("pfabric_rto_us", 350)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
     let sweep = [300.0f64, 500.0, 1000.0, 1500.0, 2000.0];
-    let base_wl = h.workload();
+    let scale = h.scale;
     let points = h.executor().map(sweep.to_vec(), |qps| {
-        let wl = MixedWorkload { qps, ..base_wl };
-        let tree = FatTreeParams::paper_default();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs(), wl).run();
-        let mut pf = mixed_workload_sim(tree, SimConfig::pfabric(), wl).run();
+        let sc = Scenario {
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::mixed(120, qps, 40, 20_000)
+        };
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
+        let mut pf = run(&sc, SimConfig::pfabric());
         SeriesPoint::at(qps)
             .with("qct_p99_ms_dibs", dibs.qct_p99_ms().unwrap_or(f64::NAN))
             .with("qct_p99_ms_pfabric", pf.qct_p99_ms().unwrap_or(f64::NAN))

@@ -18,8 +18,8 @@
 //! writes `results/BENCH_hotpath_smoke.json` instead so CI runs never
 //! clobber the committed record.
 
-use dibs::presets::testbed_incast_sim;
-use dibs::SimConfig;
+use dibs::{presets, SimConfig};
+use dibs_bench::run;
 use dibs_bench::timing::{CaseMeasurement, Group};
 use dibs_engine::queue::EventQueue;
 use dibs_engine::rng::SimRng;
@@ -147,14 +147,15 @@ fn bench_fib(s: &mut Suite) {
 
 fn bench_e2e(s: &mut Suite) {
     let g = Group::new("e2e");
-    // One full testbed incast per iteration.
-    let (senders, bytes) = if s.smoke { (4, 32_000) } else { (10, 32_000) };
+    // One full testbed incast per iteration: 5 senders x 4 (smoke) or x 10
+    // flows of 32 KB.
+    let incast = presets::testbed_incast(if s.smoke { 20 } else { 50 }, 32_000);
     for (name, cfg) in [
         ("incast_dibs", SimConfig::dctcp_dibs()),
         ("incast_droptail", SimConfig::dctcp_baseline()),
     ] {
         let m = g.case_rate(name, "events", || {
-            let results = testbed_incast_sim(cfg, 5, senders, bytes).run();
+            let results = run(&incast, cfg);
             // The measured path IS the trace-disabled path: the default
             // Tracer::Off must record nothing and attach no report.
             assert!(
@@ -172,8 +173,8 @@ fn bench_e2e(s: &mut Suite) {
 ///
 /// A warning, not a gate: the shared build machine's absolute throughput
 /// drifts by tens of percent across time windows (see the `baseline`
-/// docs), and smoke runs a trimmed workload (4 senders vs the full
-/// suite's 10), so only a paired A/B run on one machine can convict a
+/// docs), and smoke runs a trimmed workload (20 flows vs the full
+/// suite's 50), so only a paired A/B run on one machine can convict a
 /// commit. The warning tells CI eyeballs where to point that protocol.
 fn warn_if_smoke_regressed(e2e_rate: f64) {
     const COMMITTED: &str = "BENCH_hotpath.json";
@@ -198,7 +199,7 @@ fn warn_if_smoke_regressed(e2e_rate: f64) {
             "\nWARNING: smoke e2e event rate is {ratio:.2}x the committed record\n\
              ({e2e_rate:.0} vs {committed_rate:.0} events/sec in {COMMITTED}).\n\
              This machine's absolute throughput drifts across time windows and\n\
-             smoke runs a trimmed incast (4 senders vs 10), so this is a HINT,\n\
+             smoke runs a trimmed incast (20 flows vs 50), so this is a HINT,\n\
              not a verdict. Before reverting anything, run the paired-baseline\n\
              protocol from DESIGN.md §2c: benchmark the suspect commit and its\n\
              parent back-to-back in one window and compare those two numbers."

@@ -9,11 +9,9 @@
 //! (Flow-level ECMP collisions put a structural ceiling below 1.0 at small
 //! N in any simulator; see EXPERIMENTS.md.)
 
-use dibs::presets::fairness_sim;
-use dibs::SimConfig;
-use dibs_bench::Harness;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_engine::time::SimTime;
-use dibs_net::builders::FatTreeParams;
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 
 fn main() {
@@ -32,23 +30,20 @@ fn main() {
 
     let sweep = [1usize, 2, 4, 8, 16];
     let points = h.executor().map(sweep.to_vec(), |n| {
-        let run = |cfg: SimConfig| {
-            let mut cfg = cfg.with_seed(5);
+        let sc = Scenario {
+            seed: 5,
+            ..presets::fairness(8, n, horizon_ms)
+        };
+        let measure = |mut cfg: SimConfig| {
             cfg.throughput_warmup = Some(SimTime::from_millis(horizon_ms / 4));
-            let results = fairness_sim(
-                FatTreeParams::paper_default(),
-                cfg,
-                n,
-                SimTime::from_millis(horizon_ms),
-            )
-            .run();
+            let results = run(&sc, cfg);
             (
                 results.jain().unwrap_or(0.0),
                 results.long_lived_throughput_bps.iter().sum::<f64>() / 1e9,
             )
         };
-        let (jain_dibs, tput_dibs) = run(SimConfig::dctcp_dibs());
-        let (jain_base, tput_base) = run(SimConfig::dctcp_baseline());
+        let (jain_dibs, tput_dibs) = measure(SimConfig::dctcp_dibs());
+        let (jain_base, tput_base) = measure(SimConfig::dctcp_baseline());
         SeriesPoint::at(n as f64)
             .with("jain_dibs", jain_dibs)
             .with("jain_dctcp", jain_base)

@@ -8,10 +8,9 @@
 //! level without hurting background FCT — the last hop stays the query
 //! bottleneck, and that is where DIBS avoids the losses.
 
-use dibs::presets::mixed_workload_sim;
-use dibs::SimConfig;
-use dibs_bench::{baseline_vs_dibs_point, Harness};
-use dibs_net::builders::FatTreeParams;
+use dibs::scenario::TopologySpec;
+use dibs::{presets, Scenario, SimConfig};
+use dibs_bench::{baseline_vs_dibs_point, run, Harness};
 use dibs_stats::ExperimentRecord;
 
 fn main() {
@@ -25,13 +24,21 @@ fn main() {
         .param("incast_degree", 40)
         .param("response_kb", 20)
         .param("bg_interarrival_ms", 120)
-        .param("duration_ms", h.scale.duration().as_millis_f64());
+        .param("duration_ms", h.scale.duration_ms());
 
-    let wl = h.workload();
+    let scale = h.scale;
     let points = h.executor().map(vec![1u64, 2, 3, 4], |div| {
-        let tree = FatTreeParams::oversubscribed(div);
-        let mut base = mixed_workload_sim(tree, SimConfig::dctcp_baseline(), wl).run();
-        let mut dibs = mixed_workload_sim(tree, SimConfig::dctcp_dibs(), wl).run();
+        let sc = Scenario {
+            topology: TopologySpec::FatTree {
+                k: 8,
+                oversubscription: div,
+            },
+            duration_ms: scale.duration_ms(),
+            drain_ms: scale.drain_ms(),
+            ..presets::paper_mixed()
+        };
+        let mut base = run(&sc, SimConfig::dctcp_baseline());
+        let mut dibs = run(&sc, SimConfig::dctcp_dibs());
         baseline_vs_dibs_point(div as f64, &mut base, &mut dibs)
     });
     for p in points {

@@ -10,42 +10,14 @@
 //! even when the burst overflows the pool, cutting the 99th-percentile QCT
 //! (the paper reports 75.4 %).
 
-use dibs::{SimConfig, Simulation};
-use dibs_bench::Harness;
-use dibs_engine::rng::SimRng;
-use dibs_engine::time::SimTime;
-use dibs_net::builders::{fat_tree, FatTreeParams};
-use dibs_net::ids::HostId;
+use dibs::{presets, SimConfig};
+use dibs_bench::{run, Harness};
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 use dibs_switch::BufferConfig;
-use dibs_workload::QuerySpec;
 
-/// Builds an incast of `degree` responses allowing repeated responders
-/// (multiple connections per server) once `degree` exceeds the host count.
-fn big_incast(mut config: SimConfig, degree: usize, response_bytes: u64) -> Simulation {
-    let topo = fat_tree(FatTreeParams::paper_default());
-    let hosts = topo.num_hosts();
-    config.horizon = SimTime::from_secs(5);
-    let mut sim = Simulation::new(topo, config);
-    let mut rng = SimRng::new(config.seed).fork("big-incast");
-    let target = rng.below(hosts);
-    let responders: Vec<HostId> = (0..degree)
-        .map(|i| {
-            let mut hx = i % (hosts - 1);
-            if hx >= target {
-                hx += 1;
-            }
-            HostId::from_index(hx)
-        })
-        .collect();
-    sim.add_queries(&[QuerySpec {
-        start: SimTime::ZERO,
-        target: HostId::from_index(target),
-        responders,
-        response_bytes,
-    }]);
-    sim
-}
+/// The incast target. Past 127 responders the round-robin wraps, so
+/// servers answer over several connections, as in the paper.
+const TARGET: u32 = 0;
 
 fn main() {
     let h = Harness::from_env();
@@ -56,7 +28,8 @@ fn main() {
     );
     rec.param("shared_bytes", 1_700_000)
         .param("alpha", 1.0)
-        .param("response_kb", 20);
+        .param("response_kb", 20)
+        .param("target", TARGET);
 
     let sweep = [40usize, 100, 150, 200, 300, 400];
     let points = h.executor().map(sweep.to_vec(), |deg| {
@@ -66,8 +39,9 @@ fn main() {
         let mut dibs_cfg = SimConfig::dctcp_dibs();
         dibs_cfg.switch.buffer = dba;
 
-        let mut base = big_incast(base_cfg, deg, 20_000).run();
-        let mut dibs = big_incast(dibs_cfg, deg, 20_000).run();
+        let sc = presets::single_incast(8, TARGET, deg, 20_000);
+        let mut base = run(&sc, base_cfg);
+        let mut dibs = run(&sc, dibs_cfg);
         SeriesPoint::at(deg as f64)
             .with(
                 "qct_p99_ms_dctcp_dba",

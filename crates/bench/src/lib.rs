@@ -15,9 +15,7 @@
 
 pub mod timing;
 
-use dibs::presets::MixedWorkload;
-use dibs::RunResults;
-use dibs_engine::time::SimDuration;
+use dibs::{RunResults, Scenario, SimConfig};
 use dibs_harness::Executor;
 use dibs_stats::{ExperimentRecord, SeriesPoint};
 use std::path::PathBuf;
@@ -39,31 +37,40 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Traffic generation window for mixed workloads.
-    pub fn duration(self) -> SimDuration {
+    /// Traffic generation window for mixed workloads, in milliseconds.
+    pub fn duration_ms(self) -> u64 {
         match self {
-            Scale::Quick => SimDuration::from_millis(120),
-            Scale::Default => SimDuration::from_millis(400),
-            Scale::Full => SimDuration::from_millis(1000),
+            Scale::Quick => 120,
+            Scale::Default => 400,
+            Scale::Full => 1000,
         }
     }
 
-    /// Drain time appended after the generation window.
-    pub fn drain(self) -> SimDuration {
+    /// Drain time appended after the generation window, in milliseconds.
+    pub fn drain_ms(self) -> u64 {
         match self {
-            Scale::Quick => SimDuration::from_millis(300),
-            Scale::Default => SimDuration::from_millis(600),
-            Scale::Full => SimDuration::from_millis(1000),
+            Scale::Quick => 300,
+            Scale::Default => 600,
+            Scale::Full => 1000,
         }
     }
 
     /// A short window for the very heavy experiments (10 ms background
-    /// inter-arrival, extreme qps).
-    pub fn heavy_duration(self) -> SimDuration {
+    /// inter-arrival, extreme qps), in milliseconds.
+    pub fn heavy_duration_ms(self) -> u64 {
         match self {
-            Scale::Quick => SimDuration::from_millis(80),
-            Scale::Default => SimDuration::from_millis(200),
-            Scale::Full => SimDuration::from_millis(500),
+            Scale::Quick => 80,
+            Scale::Default => 200,
+            Scale::Full => 500,
+        }
+    }
+
+    fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "quick" => Some(Scale::Quick),
+            "default" => Some(Scale::Default),
+            "full" => Some(Scale::Full),
+            _ => None,
         }
     }
 }
@@ -93,59 +100,28 @@ impl Default for Harness {
 impl Harness {
     /// Builds a harness from argv (`--quick` / `--full` / `--jobs N` /
     /// `--seed N`) and the `DIBS_SCALE` / `DIBS_JOBS` / `DIBS_SEED`
-    /// environment variables (argv wins).
+    /// environment variables (argv wins). A malformed seed or an unknown
+    /// scale exits with status 2 rather than run a figure under settings
+    /// nobody asked for.
     pub fn from_env() -> Self {
         let mut args: Vec<String> = std::env::args().skip(1).collect();
         let jobs = dibs_harness::take_jobs_flag(&mut args)
             .or_else(dibs_harness::env_jobs)
             .unwrap_or_else(dibs_harness::default_jobs);
-
-        let mut scale = match std::env::var("DIBS_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("full") => Scale::Full,
-            _ => Scale::Default,
-        };
-        let mut master_seed = std::env::var("DIBS_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_MASTER_SEED);
-        let mut trace = std::env::var("DIBS_TRACE").ok();
-
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => scale = Scale::Quick,
-                "--full" => scale = Scale::Full,
-                "--default" => scale = Scale::Default,
-                "--seed" if i + 1 < args.len() => {
-                    if let Ok(s) = args[i + 1].parse::<u64>() {
-                        master_seed = s;
-                    }
-                    i += 1;
-                }
-                "--trace" if i + 1 < args.len() => {
-                    trace = Some(args[i + 1].clone());
-                    i += 1;
-                }
-                other => {
-                    eprintln!(
-                        "warning: unrecognized argument `{other}` \
-                         (expected --quick/--full/--jobs N/--seed N/--trace SPEC)"
-                    );
-                }
-            }
-            i += 1;
-        }
+        let options = parse_options(&args, |name| std::env::var(name).ok()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
         let out_dir = std::env::var("DIBS_RESULTS_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
         timing::meter_start();
         Harness {
-            scale,
+            scale: options.scale,
             out_dir,
             jobs,
-            master_seed,
-            trace,
+            master_seed: options.master_seed,
+            trace: options.trace,
         }
     }
 
@@ -199,15 +175,6 @@ impl Harness {
         Executor::new(self.jobs)
     }
 
-    /// The mixed-workload defaults at this scale (Table 2 bold values).
-    pub fn workload(&self) -> MixedWorkload {
-        MixedWorkload {
-            duration: self.scale.duration(),
-            drain: self.scale.drain(),
-            ..MixedWorkload::paper_default()
-        }
-    }
-
     /// Prints the record and writes `results/<id>.json`.
     pub fn finish(&self, record: &ExperimentRecord) {
         print!("{}", record.to_table());
@@ -233,6 +200,72 @@ impl Harness {
             println!("{line}");
         }
     }
+}
+
+/// The run options a figure binary takes from argv and the environment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Options {
+    scale: Scale,
+    master_seed: u64,
+    trace: Option<String>,
+}
+
+/// Parses `--quick` / `--full` / `--default` / `--seed N` / `--trace SPEC`
+/// from `args` over the `DIBS_SCALE` / `DIBS_SEED` / `DIBS_TRACE` values
+/// that `env` returns (argv wins). Unknown arguments only warn, since
+/// `repro_all` forwards its own flags to every binary.
+fn parse_options(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Options, String> {
+    let parse_seed = |v: &str, from: &str| {
+        v.trim()
+            .parse::<u64>()
+            .map_err(|e| format!("{from} `{v}` is not a seed: {e}"))
+    };
+    let scale = match env("DIBS_SCALE") {
+        Some(v) => Scale::parse(v.trim())
+            .ok_or_else(|| format!("DIBS_SCALE `{v}` is not one of quick, default, full"))?,
+        None => Scale::Default,
+    };
+    let master_seed = match env("DIBS_SEED") {
+        Some(v) => parse_seed(&v, "DIBS_SEED")?,
+        None => DEFAULT_MASTER_SEED,
+    };
+    let mut options = Options {
+        scale,
+        master_seed,
+        trace: env("DIBS_TRACE"),
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => options.scale = Scale::Quick,
+            "--full" => options.scale = Scale::Full,
+            "--default" => options.scale = Scale::Default,
+            "--seed" => {
+                let v = args.next().ok_or("--seed needs a value")?;
+                options.master_seed = parse_seed(v, "--seed")?;
+            }
+            "--trace" => options.trace = Some(args.next().ok_or("--trace needs a spec")?.clone()),
+            other => eprintln!(
+                "warning: unrecognized argument `{other}` \
+                 (expected --quick/--full/--jobs N/--seed N/--trace SPEC)"
+            ),
+        }
+    }
+    Ok(options)
+}
+
+/// Builds `scenario` under `cfg` (see [`Scenario::build_with`]) and runs
+/// it to completion.
+///
+/// # Panics
+///
+/// If the scenario does not build. Figure scenarios are fixed in code, so
+/// that is a bug in the binary, not bad input.
+pub fn run(scenario: &Scenario, cfg: SimConfig) -> RunResults {
+    scenario
+        .build_with(cfg)
+        .unwrap_or_else(|e| panic!("figure scenario does not build: {e}"))
+        .run()
 }
 
 /// Extracts the standard pair of paper metrics from a finished run:
@@ -264,9 +297,61 @@ mod tests {
 
     #[test]
     fn scale_windows_are_ordered() {
-        assert!(Scale::Quick.duration() < Scale::Default.duration());
-        assert!(Scale::Default.duration() < Scale::Full.duration());
-        assert!(Scale::Quick.heavy_duration() < Scale::Full.heavy_duration());
+        assert!(Scale::Quick.duration_ms() < Scale::Default.duration_ms());
+        assert!(Scale::Default.duration_ms() < Scale::Full.duration_ms());
+        assert!(Scale::Quick.heavy_duration_ms() < Scale::Full.heavy_duration_ms());
+    }
+
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        parse_options(&args, |name| {
+            env.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_string())
+        })
+    }
+
+    #[test]
+    fn options_default_without_flags_or_environment() {
+        let o = parse(&[], &[]).unwrap();
+        assert_eq!(o.scale, Scale::Default);
+        assert_eq!(o.master_seed, DEFAULT_MASTER_SEED);
+        assert_eq!(o.trace, None);
+    }
+
+    #[test]
+    fn argv_wins_over_the_environment() {
+        let env = [
+            ("DIBS_SCALE", "full"),
+            ("DIBS_SEED", "9"),
+            ("DIBS_TRACE", "all"),
+        ];
+        let o = parse(&[], &env).unwrap();
+        assert_eq!((o.scale, o.master_seed), (Scale::Full, 9));
+        assert_eq!(o.trace.as_deref(), Some("all"));
+        let o = parse(&["--quick", "--seed", "4", "--trace", "detour"], &env).unwrap();
+        assert_eq!((o.scale, o.master_seed), (Scale::Quick, 4));
+        assert_eq!(o.trace.as_deref(), Some("detour"));
+    }
+
+    #[test]
+    fn malformed_seed_or_scale_is_an_error() {
+        for (args, env) in [
+            (&["--seed", "x"][..], &[][..]),
+            (&["--seed", "-1"][..], &[][..]),
+            (&["--seed"][..], &[][..]),
+            (&[][..], &[("DIBS_SEED", "x")][..]),
+            (&["--seed", "3"][..], &[("DIBS_SEED", "0x10")][..]),
+            (&[][..], &[("DIBS_SCALE", "huge")][..]),
+            (&["--trace"][..], &[][..]),
+        ] {
+            assert!(parse(args, env).is_err(), "{args:?} {env:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_only_warn() {
+        assert_eq!(parse(&["--bogus"], &[]).unwrap(), parse(&[], &[]).unwrap());
     }
 }
 

@@ -16,18 +16,20 @@
 //!   transports, workloads, metrics.
 //! * [`SimConfig`] — Table 1/2 of the paper as data, with presets for
 //!   DCTCP-baseline, DCTCP+DIBS, and pFabric.
-//! * [`presets`] — the §5.2/§5.3 experiment setups used by every figure.
-//! * [`scenario`] — the JSON description of one run (topology, scheme,
-//!   traffic, faults) that `dibs-sim` and the `simtest` soak both build.
+//! * [`scenario`] — the description of one run (topology, scheme,
+//!   traffic, faults, seed) and [`Scenario::build_with`], the one place a
+//!   run is wired. `dibs-sim`, the `simtest` soak and every figure binary
+//!   build through it.
+//! * [`presets`] — the §5.2/§5.3 experiment setups as `Scenario` values.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use dibs::presets::{testbed_incast_sim};
-//! use dibs::SimConfig;
+//! use dibs::{presets, SimConfig};
 //!
 //! // The §5.2 incast: 5 senders x 10 flows x 32 KB into one receiver.
-//! let mut results = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+//! let sim = presets::testbed_incast(50, 32_000).build_with(SimConfig::dctcp_dibs());
+//! let mut results = sim.unwrap().run();
 //! assert_eq!(results.counters.total_drops(), 0, "DIBS is near-lossless");
 //! let qct = results.qct_ms.percentile(1.0).unwrap();
 //! assert!(qct < 60.0);
@@ -45,6 +47,7 @@ pub mod sim;
 pub use config::{EcmpMode, PfcConfig, SimConfig, SwitchArch};
 pub use results::{FlowOutcome, QueryOutcome, RunDigest, RunResults};
 pub use rundesc::RunDescriptor;
+pub use scenario::Scenario;
 pub use sim::Simulation;
 
 // Re-exported so downstream binaries can configure tracing without

@@ -1,223 +1,169 @@
-//! Canonical experiment setups from the paper's evaluation.
+//! The paper's evaluation setups as [`Scenario`] values.
 //!
-//! Every figure binary in `dibs-bench` builds on these: the K=8 fat-tree
-//! mixed workload of §5.3 (background + partition-aggregate queries) and the
-//! §5.2 Click-testbed incast.
+//! Every figure binary, example and test that runs one of these setups
+//! builds it with [`Scenario::build_with`], the same wiring `dibs-sim`
+//! uses, so a §5.3 run from a figure binary and the same scenario file
+//! run by `dibs-sim` draw the same traffic. A sweep varies one knob by
+//! writing the field:
+//!
+//! ```
+//! use dibs::{presets, Scenario, SimConfig};
+//!
+//! let sc = Scenario { seed: 3, ..presets::testbed_incast(50, 32_000) };
+//! let results = sc.build_with(SimConfig::dctcp_dibs()).unwrap().run();
+//! assert_eq!(results.flows.len(), 50);
+//! ```
 
-use crate::config::SimConfig;
-use crate::sim::Simulation;
-use dibs_engine::rng::SimRng;
-use dibs_engine::time::{SimDuration, SimTime};
-use dibs_net::builders::{fat_tree, mini_testbed, FatTreeParams};
-use dibs_net::ids::HostId;
-use dibs_net::topology::LinkSpec;
-use dibs_workload::{BackgroundTraffic, FlowClass, FlowSpec, QueryTraffic};
+use crate::scenario::{Overrides, Scenario, Scheme, TopologySpec, WorkloadSpec};
+use dibs_fault::FaultSpec;
 
-/// Parameters of the §5.3 mixed workload (Table 2).
-#[derive(Debug, Clone, Copy)]
-pub struct MixedWorkload {
-    /// Mean background inter-arrival time per host (Table 2: 10–120 ms).
-    pub bg_interarrival: SimDuration,
-    /// Query arrival rate (queries per second).
-    pub qps: f64,
-    /// Incast degree (responders per query).
-    pub incast_degree: usize,
-    /// Bytes per query response.
-    pub response_bytes: u64,
-    /// Traffic generation window; flows start within `[0, duration)`.
-    pub duration: SimDuration,
-    /// Extra drain time after the generation window before the hard stop.
-    pub drain: SimDuration,
-}
+/// Horizon of the one-shot incasts: far past any burst's completion.
+const INCAST_HORIZON_MS: u64 = 5_000;
 
-impl MixedWorkload {
-    /// Table 2 defaults: 120 ms inter-arrival, 300 qps, degree 40, 20 KB
-    /// responses, with a 1-second generation window.
-    pub fn paper_default() -> Self {
-        MixedWorkload {
-            bg_interarrival: SimDuration::from_millis(120),
-            qps: 300.0,
-            incast_degree: 40,
-            response_bytes: 20_000,
-            duration: SimDuration::from_secs(1),
-            drain: SimDuration::from_millis(500),
-        }
-    }
-
-    /// The total horizon this workload needs.
-    pub fn horizon(&self) -> SimTime {
-        SimTime::ZERO + self.duration + self.drain
+/// A K-ary fat-tree with full-rate fabric links (K=8 is the paper's
+/// 128-host fabric).
+pub fn fat_tree(k: usize) -> TopologySpec {
+    TopologySpec::FatTree {
+        k,
+        oversubscription: 1,
     }
 }
 
-/// Builds the §5.3 simulation: K=8 fat-tree (or a custom `params`) carrying
-/// the mixed workload under the given switch/host configuration.
-///
-/// The seed in `config` drives *both* workload generation and the
-/// simulator's internal randomness, so two configs with the same seed see
-/// identical traffic — exactly how the paper compares DCTCP with and
-/// without DIBS.
-pub fn mixed_workload_sim(
-    tree: FatTreeParams,
-    mut config: SimConfig,
-    workload: MixedWorkload,
-) -> Simulation {
-    config.horizon = workload.horizon();
-    let topo = fat_tree(tree);
-    let hosts = topo.num_hosts();
-    let mut sim = Simulation::new(topo, config);
-
-    let root = SimRng::new(config.seed);
-    let mut bg_rng = root.fork("workload/background");
-    let mut q_rng = root.fork("workload/query");
-
-    let bg = BackgroundTraffic::paper(workload.bg_interarrival);
-    sim.add_flows(bg.generate(hosts, workload.duration, &mut bg_rng));
-
-    let qt = QueryTraffic {
-        qps: workload.qps,
-        degree: workload.incast_degree,
-        response_bytes: workload.response_bytes,
-    };
-    let queries = qt.generate(hosts, workload.duration, &mut q_rng);
-    sim.add_queries(&queries);
-    sim
+/// `workloads` on `topology` under DCTCP+DIBS at seed 1, with no faults.
+fn scenario(
+    topology: TopologySpec,
+    duration_ms: u64,
+    drain_ms: u64,
+    workloads: Vec<WorkloadSpec>,
+) -> Scenario {
+    Scenario {
+        seed: 1,
+        topology,
+        scheme: Scheme::DctcpDibs,
+        overrides: Overrides::default(),
+        duration_ms,
+        drain_ms,
+        workloads,
+        sample_interval_ms: 0,
+        faults: FaultSpec::off(),
+    }
 }
 
-/// The §5.2 Click/Emulab incast test: on the 2-aggregation / 3-edge
-/// mini-testbed, `senders` hosts each send `flows_per_sender` simultaneous
-/// flows of `flow_bytes` to the last host.
-///
-/// The paper's run: 5 senders x 10 flows x 32 KB, 100-packet buffers.
-pub fn testbed_incast_sim(
-    mut config: SimConfig,
-    senders: usize,
-    flows_per_sender: usize,
-    flow_bytes: u64,
-) -> Simulation {
-    let topo = mini_testbed(LinkSpec::gbit(1));
-    let receiver = HostId::from_index(topo.num_hosts() - 1);
-    assert!(senders < topo.num_hosts(), "too many senders");
-    config.horizon = SimTime::from_secs(5);
-    let mut sim = Simulation::new(topo, config);
-    // One "query" covering all flows, so QCT comes out directly.
-    let responders: Vec<HostId> = (0..senders)
-        .flat_map(|s| std::iter::repeat_n(HostId::from_index(s), flows_per_sender))
-        .collect();
-    sim.add_queries(&[dibs_workload::QuerySpec {
-        start: SimTime::ZERO,
-        target: receiver,
-        responders,
-        response_bytes: flow_bytes,
-    }]);
-    sim
+/// The §5.3 mixed workload on the K=8 fat-tree: DCTCP-paper background
+/// traffic with a mean per-host inter-arrival of `bg_interarrival_ms`,
+/// plus partition-aggregate queries at `qps`, each fanning in `degree`
+/// responses of `response_bytes`. Traffic starts within a 1 s window,
+/// followed by 500 ms of drain.
+pub fn mixed(bg_interarrival_ms: u64, qps: f64, degree: usize, response_bytes: u64) -> Scenario {
+    scenario(
+        fat_tree(8),
+        1_000,
+        500,
+        vec![
+            WorkloadSpec::Background {
+                interarrival_ms: bg_interarrival_ms,
+            },
+            WorkloadSpec::Query {
+                qps,
+                degree,
+                response_bytes,
+            },
+        ],
+    )
 }
 
-/// A pure incast on the K=8 fat-tree: `degree` random responders send
-/// `response_bytes` each to one target — the minimal Figure 1/2 scenario.
-pub fn single_incast_sim(
-    tree: FatTreeParams,
-    mut config: SimConfig,
-    degree: usize,
-    response_bytes: u64,
-) -> Simulation {
-    let topo = fat_tree(tree);
-    let hosts = topo.num_hosts();
-    assert!(degree < hosts);
-    config.horizon = SimTime::from_secs(5);
-    let mut sim = Simulation::new(topo, config);
-    let mut rng = SimRng::new(config.seed).fork("workload/single-incast");
-    let target = rng.below(hosts);
-    let responders: Vec<HostId> = rng
-        .sample_distinct(hosts - 1, degree)
-        .into_iter()
-        .map(|mut i| {
-            if i >= target {
-                i += 1;
-            }
-            HostId::from_index(i)
-        })
-        .collect();
-    sim.add_queries(&[dibs_workload::QuerySpec {
-        start: SimTime::ZERO,
-        target: HostId::from_index(target),
-        responders,
-        response_bytes,
-    }]);
-    sim
+/// [`mixed`] at the Table 2 defaults: 120 ms background inter-arrival,
+/// 300 qps, degree 40, 20 KB responses.
+pub fn paper_mixed() -> Scenario {
+    mixed(120, 300.0, 40, 20_000)
 }
 
-/// The §5.6 fairness run: 64 node-disjoint pairs, `n` long-lived flows per
-/// direction per pair, measured over `horizon`.
-pub fn fairness_sim(
-    tree: FatTreeParams,
-    mut config: SimConfig,
-    flows_per_pair: usize,
-    horizon: SimTime,
-) -> Simulation {
-    config.horizon = horizon;
-    let topo = fat_tree(tree);
-    let hosts = topo.num_hosts();
-    let mut sim = Simulation::new(topo, config);
-    sim.add_flows(dibs_workload::long_lived_pairs(hosts, flows_per_pair));
-    sim
+/// The §5.2 Click/Emulab incast on the 2-aggregation / 3-edge testbed:
+/// `degree` simultaneous responses of `response_bytes` into the last of
+/// its six hosts. Responders go round-robin over the other five, so
+/// degree 50 is the paper's 5 senders x 10 flows.
+pub fn testbed_incast(degree: usize, response_bytes: u64) -> Scenario {
+    scenario(
+        TopologySpec::MiniTestbed,
+        0,
+        INCAST_HORIZON_MS,
+        vec![WorkloadSpec::Incast {
+            target: 5,
+            degree,
+            response_bytes,
+            at_ms: 0,
+        }],
+    )
 }
 
-/// A flow from every host to host 0 — handy for saturation tests.
-pub fn all_to_one_flows(hosts: usize, bytes: u64) -> Vec<FlowSpec> {
-    (1..hosts)
-        .map(|i| FlowSpec {
-            start: SimTime::ZERO,
-            src: HostId::from_index(i),
-            dst: HostId(0),
-            size: bytes,
-            class: FlowClass::Background,
-        })
-        .collect()
+/// One incast on the K-ary fat-tree, the Figure 1/2 setup: `degree`
+/// responders, round-robin over the hosts other than `target`, each send
+/// `response_bytes` at time zero.
+pub fn single_incast(k: usize, target: u32, degree: usize, response_bytes: u64) -> Scenario {
+    scenario(
+        fat_tree(k),
+        0,
+        INCAST_HORIZON_MS,
+        vec![WorkloadSpec::Incast {
+            target,
+            degree,
+            response_bytes,
+            at_ms: 0,
+        }],
+    )
+}
+
+/// The §5.6 fairness run on the K-ary fat-tree: node-disjoint host pairs
+/// with `flows_per_pair` long-lived flows per direction, measured over
+/// `horizon_ms`.
+pub fn fairness(k: usize, flows_per_pair: usize, horizon_ms: u64) -> Scenario {
+    scenario(
+        fat_tree(k),
+        horizon_ms,
+        0,
+        vec![WorkloadSpec::LongLived { flows_per_pair }],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibs_workload::FlowClass;
+    use dibs_engine::time::SimTime;
 
     #[test]
-    fn workload_horizon_covers_duration_and_drain() {
-        let wl = MixedWorkload::paper_default();
-        assert_eq!(wl.horizon(), SimTime::ZERO + wl.duration + wl.drain);
+    fn paper_mixed_matches_table2_defaults() {
+        let sc = paper_mixed();
+        assert!(matches!(
+            sc.topology,
+            TopologySpec::FatTree {
+                k: 8,
+                oversubscription: 1
+            }
+        ));
+        let [WorkloadSpec::Background { interarrival_ms }, WorkloadSpec::Query {
+            qps,
+            degree,
+            response_bytes,
+        }] = sc.workloads[..]
+        else {
+            panic!("mixed is background + query: {:?}", sc.workloads);
+        };
+        assert_eq!(interarrival_ms, 120);
+        assert_eq!(qps, 300.0);
+        assert_eq!(degree, 40);
+        assert_eq!(response_bytes, 20_000);
+        assert_eq!(sc.horizon(), SimTime::from_millis(1_500));
     }
 
     #[test]
-    fn mixed_workload_matches_table2_defaults() {
-        let wl = MixedWorkload::paper_default();
-        assert_eq!(wl.qps, 300.0);
-        assert_eq!(wl.incast_degree, 40);
-        assert_eq!(wl.response_bytes, 20_000);
-        assert_eq!(wl.bg_interarrival, SimDuration::from_millis(120));
-    }
-
-    #[test]
-    fn testbed_incast_builds_one_query_of_fifty_flows() {
-        let sim = testbed_incast_sim(crate::SimConfig::dctcp_dibs(), 5, 10, 32_000);
-        // 6-host testbed; 5 senders x 10 flows.
-        assert_eq!(sim.topology().num_hosts(), 6);
-        // The query expands into 50 response flows targeting the last host.
-        // (Verified indirectly: the simulation runs them all to completion
-        // in the integration tests.)
-    }
-
-    #[test]
-    fn all_to_one_covers_every_other_host() {
-        let flows = all_to_one_flows(9, 1000);
-        assert_eq!(flows.len(), 8);
-        assert!(flows.iter().all(|f| f.dst == HostId(0)));
-        assert!(flows.iter().all(|f| f.src != f.dst));
-        assert!(flows.iter().all(|f| f.class == FlowClass::Background));
-    }
-
-    #[test]
-    #[should_panic(expected = "too many senders")]
-    fn testbed_rejects_too_many_senders() {
-        testbed_incast_sim(crate::SimConfig::dctcp_dibs(), 6, 1, 1000);
+    fn testbed_incast_sends_k_flows_from_each_of_five_senders() {
+        let sc = testbed_incast(50, 32_000);
+        let results = sc.build().unwrap().run();
+        assert_eq!(results.flows.len(), 50);
+        for sender in 0..5 {
+            let flows = results.flows.iter().filter(|f| f.src.index() == sender);
+            assert_eq!(flows.count(), 10, "sender {sender}");
+        }
+        assert!(results.flows.iter().all(|f| f.dst.index() == 5));
     }
 }

@@ -412,11 +412,7 @@ impl Scenario {
             Scheme::DctcpDibs => SimConfig::dctcp_dibs(),
             Scheme::Pfabric => SimConfig::pfabric(),
         };
-        cfg.seed = self.seed;
-        cfg.horizon = self.horizon();
-        if self.sample_interval_ms > 0 {
-            cfg.sample_interval = Some(SimDuration::from_millis(self.sample_interval_ms));
-        }
+        self.apply_run_fields(&mut cfg);
         let o = &self.overrides;
         if let Some(pkts) = o.buffer_packets {
             cfg.switch.buffer = if pkts == 0 {
@@ -477,14 +473,32 @@ impl Scenario {
         Ok(cfg)
     }
 
-    /// Builds the fully wired simulation, faults installed.
+    /// The fields of `cfg` a scenario owns: seed, horizon and sampling.
+    fn apply_run_fields(&self, cfg: &mut SimConfig) {
+        cfg.seed = self.seed;
+        cfg.horizon = self.horizon();
+        cfg.sample_interval = (self.sample_interval_ms > 0)
+            .then(|| SimDuration::from_millis(self.sample_interval_ms));
+    }
+
+    /// Builds the fully wired simulation, faults installed, under the
+    /// scenario's own scheme and overrides.
     pub fn build(&self) -> Result<Simulation, ScenarioError> {
+        self.build_with(self.sim_config()?)
+    }
+
+    /// Builds the fully wired simulation under `cfg`'s switch and host
+    /// knobs. The scenario supplies everything else: topology, traffic,
+    /// faults, seed, horizon and sampling (so `scheme` and `overrides` are
+    /// ignored here). This is the one place a run is wired; figure
+    /// binaries pass the configuration arm they compare.
+    pub fn build_with(&self, mut cfg: SimConfig) -> Result<Simulation, ScenarioError> {
         let topo = self.topology.build(self.seed);
         let hosts = topo.num_hosts();
         if hosts < 2 {
             return Err(ScenarioError("topology needs at least 2 hosts".into()));
         }
-        let cfg = self.sim_config()?;
+        self.apply_run_fields(&mut cfg);
         let mut sim = Simulation::new(topo, cfg);
         let duration = SimDuration::from_millis(self.duration_ms);
         let root = SimRng::new(self.seed);

@@ -1199,6 +1199,9 @@ impl Simulation {
     // Sampling (Figs 4, 5).
     // ------------------------------------------------------------------
 
+    /// Utilization at which a directed link counts as hot (Fig 4's 90 %).
+    const HOT_LINK_UTILIZATION: f64 = 0.9;
+
     fn on_sample(&mut self) {
         let now = self.engine.now();
         let interval = now.saturating_since(self.last_sample);
@@ -1215,7 +1218,7 @@ impl Simulation {
         for (idx, (pr, port)) in self.topo.directed_edges().enumerate() {
             let util = (self.port_tx_bytes[idx] * 8) as f64 / (port.rate_bps as f64 * secs);
             total_links += 1;
-            if util >= self.config.hot_link_threshold {
+            if util >= Self::HOT_LINK_UTILIZATION {
                 hot_links += 1;
                 if let Some(s) = self.topo.as_switch(pr.node) {
                     hot_switch[s.index()] = true;

@@ -1,12 +1,8 @@
 //! Core simulator integration tests: the paper's headline behaviors on
 //! small topologies (kept small so debug-mode `cargo test` stays fast).
 
-use dibs::presets::{
-    all_to_one_flows, fairness_sim, mixed_workload_sim, single_incast_sim, testbed_incast_sim,
-    MixedWorkload,
-};
-use dibs::{SimConfig, Simulation};
-use dibs_engine::time::{SimDuration, SimTime};
+use dibs::{presets, RunResults, Scenario, SimConfig, Simulation};
+use dibs_engine::time::SimTime;
 use dibs_net::builders::{fat_tree, single_switch, FatTreeParams};
 use dibs_net::ids::HostId;
 use dibs_net::topology::LinkSpec;
@@ -20,18 +16,52 @@ fn k4() -> FatTreeParams {
     }
 }
 
+/// Builds `sc` under `cfg` and runs it.
+fn run(sc: &Scenario, cfg: SimConfig) -> RunResults {
+    sc.build_with(cfg).expect("scenario builds").run()
+}
+
+/// The §5.2 testbed incast, 5 senders x 10 flows x 32 KB, under `cfg`.
+fn testbed(cfg: SimConfig) -> RunResults {
+    run(&presets::testbed_incast(50, 32_000), cfg)
+}
+
+/// The §5.3 mixed workload shrunk onto the K=4 fat-tree.
+fn k4_mixed(seed: u64, duration_ms: u64, qps: f64) -> Scenario {
+    Scenario {
+        seed,
+        topology: presets::fat_tree(4),
+        duration_ms,
+        drain_ms: 100,
+        ..presets::mixed(120, qps, 8, 20_000)
+    }
+}
+
+/// A flow from every host to host 0.
+fn all_to_one_flows(hosts: usize, bytes: u64) -> Vec<FlowSpec> {
+    (1..hosts)
+        .map(|i| FlowSpec {
+            start: SimTime::ZERO,
+            src: HostId::from_index(i),
+            dst: HostId(0),
+            size: bytes,
+            class: FlowClass::Background,
+        })
+        .collect()
+}
+
 /// Fig 6 shape: droptail suffers timeouts and long QCT; DIBS matches the
 /// infinite-buffer optimum and never drops.
 #[test]
 fn testbed_incast_dibs_matches_infinite_buffer() {
     // Droptail (DCTCP baseline, 100-packet buffers).
-    let mut droptail = testbed_incast_sim(SimConfig::dctcp_baseline(), 5, 10, 32_000).run();
+    let mut droptail = testbed(SimConfig::dctcp_baseline());
     // DIBS.
-    let mut dibs = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let mut dibs = testbed(SimConfig::dctcp_dibs());
     // Infinite buffers.
     let mut inf_cfg = SimConfig::dctcp_baseline();
     inf_cfg.switch.buffer = BufferConfig::Infinite;
-    let mut infinite = testbed_incast_sim(inf_cfg, 5, 10, 32_000).run();
+    let mut infinite = testbed(inf_cfg);
 
     let qct_droptail = droptail.qct_ms.percentile(1.0).unwrap();
     let qct_dibs = dibs.qct_ms.percentile(1.0).unwrap();
@@ -63,15 +93,7 @@ fn testbed_incast_dibs_matches_infinite_buffer() {
 #[test]
 fn runs_are_deterministic() {
     let run = || {
-        let wl = MixedWorkload {
-            duration: SimDuration::from_millis(100),
-            drain: SimDuration::from_millis(100),
-            qps: 600.0,
-            incast_degree: 8,
-            ..MixedWorkload::paper_default()
-        };
-        let sim = mixed_workload_sim(k4(), SimConfig::dctcp_dibs().with_seed(7), wl);
-        let mut r = sim.run();
+        let mut r = run(&k4_mixed(7, 100, 600.0), SimConfig::dctcp_dibs());
         (
             r.counters,
             r.events_dispatched,
@@ -92,16 +114,7 @@ fn runs_are_deterministic() {
 /// Different seeds actually change the run.
 #[test]
 fn seeds_change_traffic() {
-    let run = |seed| {
-        let wl = MixedWorkload {
-            duration: SimDuration::from_millis(50),
-            drain: SimDuration::from_millis(100),
-            incast_degree: 8,
-            ..MixedWorkload::paper_default()
-        };
-        let sim = mixed_workload_sim(k4(), SimConfig::dctcp_dibs().with_seed(seed), wl);
-        sim.run().events_dispatched
-    };
+    let run = |seed| run(&k4_mixed(seed, 50, 300.0), SimConfig::dctcp_dibs()).events_dispatched;
     assert_ne!(run(1), run(2));
 }
 
@@ -110,7 +123,7 @@ fn seeds_change_traffic() {
 #[test]
 fn byte_conservation_under_incast() {
     for cfg in [SimConfig::dctcp_baseline(), SimConfig::dctcp_dibs()] {
-        let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+        let results = testbed(cfg);
         for f in &results.flows {
             assert!(f.fct.is_some(), "every flow completes");
             assert_eq!(f.bytes_delivered, 32_000);
@@ -148,7 +161,7 @@ fn no_detours_without_congestion() {
 fn low_ttl_causes_ttl_drops() {
     let mut cfg = SimConfig::dctcp_dibs();
     cfg.tcp.initial_ttl = 12;
-    let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+    let results = testbed(cfg);
     assert!(
         results.counters.drops_ttl > 0,
         "TTL 12 should expire under heavy detouring"
@@ -191,7 +204,7 @@ fn shared_buffer_dba() {
     // buffers keeps losses at zero.
     let mut cfg3 = SimConfig::dctcp_dibs();
     cfg3.switch.buffer = shared;
-    let results3 = single_incast_sim(k4(), cfg3, 8, 400_000).run();
+    let results3 = run(&presets::single_incast(4, 0, 8, 400_000), cfg3);
     assert_eq!(results3.counters.drops_buffer, 0, "DIBS+DBA lossless");
     // The single-switch droptail case must actually have been stressed for
     // the comparison to mean anything.
@@ -202,7 +215,7 @@ fn shared_buffer_dba() {
 /// lower-priority packets under pressure.
 #[test]
 fn pfabric_incast_completes() {
-    let results = testbed_incast_sim(SimConfig::pfabric(), 5, 10, 32_000).run();
+    let results = testbed(SimConfig::pfabric());
     assert_eq!(results.query_completion_rate(), 1.0);
     // 24-packet buffers under a 50-flow incast must shed load.
     assert!(results.counters.total_drops() > 0);
@@ -246,10 +259,13 @@ fn fairness_perfect_on_shared_bottleneck() {
 #[ignore = "tier-2 (~40 s): run via scripts/check.sh --full or --include-ignored"]
 fn fairness_dibs_does_not_induce_unfairness() {
     let run = |cfg: SimConfig| {
-        let mut cfg = cfg.with_seed(3);
+        let mut cfg = cfg;
         cfg.throughput_warmup = Some(SimTime::from_millis(100));
-        let sim = fairness_sim(k4(), cfg, 4, SimTime::from_millis(400));
-        let results = sim.run();
+        let sc = Scenario {
+            seed: 3,
+            ..presets::fairness(4, 4, 400)
+        };
+        let results = run(&sc, cfg);
         assert_eq!(results.long_lived_throughput_bps.len(), 64);
         assert!(results
             .long_lived_throughput_bps
@@ -277,7 +293,7 @@ fn fairness_dibs_does_not_induce_unfairness() {
 /// counter, and the delivery histogram accounts for every packet.
 #[test]
 fn detour_accounting_consistent() {
-    let results = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let results = testbed(SimConfig::dctcp_dibs());
     let per_switch: u64 = results.detours_per_switch.iter().sum();
     assert_eq!(per_switch, results.counters.detours);
     // Histogram mass equals delivered packets.
@@ -295,7 +311,7 @@ fn alternative_policies_also_lossless() {
     ];
     let results = dibs_harness::Executor::from_env().map(policies, |policy| {
         let cfg = SimConfig::dctcp_dibs().with_policy(policy);
-        (policy, testbed_incast_sim(cfg, 5, 10, 32_000).run())
+        (policy, testbed(cfg))
     });
     for (policy, results) in results {
         assert_eq!(
@@ -310,9 +326,11 @@ fn alternative_policies_also_lossless() {
 /// of a congested run.
 #[test]
 fn sampling_produces_hotlink_series() {
-    let mut cfg = SimConfig::dctcp_dibs();
-    cfg.sample_interval = Some(SimDuration::from_millis(1));
-    let results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+    let sc = Scenario {
+        sample_interval_ms: 1,
+        ..presets::testbed_incast(50, 32_000)
+    };
+    let results = run(&sc, SimConfig::dctcp_dibs());
     assert!(!results.hot_fraction_samples.is_empty());
     // The receiver's downlink saturates during the burst: some sample must
     // see a hot link.
@@ -336,9 +354,9 @@ fn sampling_produces_hotlink_series() {
 fn dibs_with_loss_based_cc_floods_buffers() {
     let mut dibs_newreno = SimConfig::dctcp_dibs();
     dibs_newreno.switch.ecn_threshold = None; // No marking: NewReno-over-droptail semantics.
-    let newreno = testbed_incast_sim(dibs_newreno, 5, 10, 32_000).run();
+    let newreno = testbed(dibs_newreno);
 
-    let dctcp = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let dctcp = testbed(SimConfig::dctcp_dibs());
     // Without ECN the network detours far more (queues stay full longer).
     assert!(
         newreno.counters.detours > dctcp.counters.detours,
@@ -408,7 +426,7 @@ fn eifel_detects_spurious_timeouts_at_deep_buffers() {
     // timeouts on the incast's first window.
     let mut deep = SimConfig::dctcp_dibs();
     deep.switch.buffer = dibs_switch::BufferConfig::StaticPerPort { packets: 1500 };
-    let r = testbed_incast_sim(deep, 5, 10, 64_000).run();
+    let r = run(&presets::testbed_incast(50, 64_000), deep);
     assert_eq!(r.counters.total_drops(), 0);
     if r.counters.rto_timeouts > 0 {
         assert!(
@@ -418,7 +436,7 @@ fn eifel_detects_spurious_timeouts_at_deep_buffers() {
     }
     // Default buffers: the burst drains fast enough that queries finish
     // without spurious timeouts.
-    let r = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let r = testbed(SimConfig::dctcp_dibs());
     assert_eq!(r.counters.spurious_timeouts, 0);
 }
 
@@ -429,7 +447,7 @@ fn eifel_detects_spurious_timeouts_at_deep_buffers() {
 fn pfc_is_lossless_but_pauses_neighbors() {
     let mut pfc_cfg = SimConfig::dctcp_baseline();
     pfc_cfg.pfc = Some(dibs::PfcConfig::default_for_paper_buffers());
-    let mut pfc = testbed_incast_sim(pfc_cfg, 5, 10, 32_000).run();
+    let mut pfc = testbed(pfc_cfg);
     assert_eq!(
         pfc.counters.drops_buffer, 0,
         "PFC must prevent buffer overflow"
@@ -437,7 +455,7 @@ fn pfc_is_lossless_but_pauses_neighbors() {
     assert!(pfc.pfc_pause_events > 0, "the incast must trigger pauses");
     assert_eq!(pfc.query_completion_rate(), 1.0);
 
-    let mut dibs = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let mut dibs = testbed(SimConfig::dctcp_dibs());
     assert_eq!(dibs.pfc_pause_events, 0);
     // Both lossless; DIBS completes at least as fast (no HoL blocking).
     let q_pfc = pfc.qct_ms.percentile(1.0).unwrap();
@@ -457,12 +475,12 @@ fn packet_level_ecmp_does_not_fix_incast() {
     spray.ecmp = dibs::EcmpMode::PacketLevel;
     // Spraying reorders packets, so disable fast retransmit like DIBS does.
     spray.tcp.fast_retransmit = dibs_transport::FastRetransmit::Disabled;
-    let spray_r = testbed_incast_sim(spray, 5, 10, 32_000).run();
+    let spray_r = testbed(spray);
     assert!(
         spray_r.counters.drops_buffer > 0,
         "the receiver's last hop still overflows under packet spraying"
     );
-    let dibs_r = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let dibs_r = testbed(SimConfig::dctcp_dibs());
     assert_eq!(dibs_r.counters.drops_buffer, 0);
 }
 
@@ -472,11 +490,11 @@ fn packet_level_ecmp_does_not_fix_incast() {
 fn delayed_acks_end_to_end() {
     let mut cfg = SimConfig::dctcp_dibs();
     cfg.tcp.ack_every = 2;
-    let delayed = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+    let delayed = testbed(cfg);
     assert_eq!(delayed.counters.drops_buffer, 0);
     assert_eq!(delayed.query_completion_rate(), 1.0);
 
-    let perpkt = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let perpkt = testbed(SimConfig::dctcp_dibs());
     // Fewer packets on the wire overall (acks roughly halved).
     assert!(
         delayed.counters.packets_sent < perpkt.counters.packets_sent,
@@ -496,7 +514,7 @@ fn pfc_tight_thresholds_still_progress() {
         xon: 1,
         control_delay: dibs_engine::time::SimDuration::from_micros(1),
     });
-    let r = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+    let r = testbed(cfg);
     assert!(r.pfc_pause_events > 100, "tiny thresholds pause constantly");
     assert_eq!(r.query_completion_rate(), 1.0, "no deadlock/livelock");
     assert!(r.flows.iter().all(|f| f.fct.is_some()));
@@ -545,13 +563,13 @@ fn cioq_architecture_supports_dibs() {
         speedup: 2.0,
         ingress_packets: 64,
     };
-    let mut r = testbed_incast_sim(cioq, 5, 10, 32_000).run();
+    let mut r = testbed(cioq);
     assert_eq!(r.counters.drops_buffer, 0, "DIBS keeps CIOQ lossless");
     assert_eq!(r.query_completion_rate(), 1.0);
     assert!(r.counters.detours > 0);
     let qct_cioq = r.qct_ms.percentile(1.0).unwrap();
 
-    let mut oq = testbed_incast_sim(SimConfig::dctcp_dibs(), 5, 10, 32_000).run();
+    let mut oq = testbed(SimConfig::dctcp_dibs());
     let qct_oq = oq.qct_ms.percentile(1.0).unwrap();
     // The 2x-speedup forwarding stage adds only per-hop service latency.
     assert!(
@@ -563,6 +581,6 @@ fn cioq_architecture_supports_dibs() {
     let mut base = cioq;
     base.switch = dibs_switch::SwitchConfig::dctcp_baseline();
     base.tcp = dibs_transport::TcpConfig::dctcp_baseline();
-    let r = testbed_incast_sim(base, 5, 10, 32_000).run();
+    let r = testbed(base);
     assert!(r.counters.drops_buffer > 0);
 }

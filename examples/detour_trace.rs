@@ -9,23 +9,26 @@
 //! cargo run --release --example detour_trace
 //! ```
 
-use dibs::presets::single_incast_sim;
-use dibs::{SimConfig, TraceSpec, Tracer};
-use dibs_net::builders::{fat_tree, FatTreeParams};
+use dibs::{presets, Scenario, SimConfig, TraceSpec, Tracer};
 use dibs_net::ids::NodeId;
 use dibs_trace::{delivered_path, TraceKind};
 
 fn main() {
-    let mut cfg = SimConfig::dctcp_dibs();
-    cfg.seed = 12;
-    let mut sim = single_incast_sim(FatTreeParams::paper_default(), cfg, 100, 20_000);
+    // Hosts 1-100 answer host 0.
+    let sc = Scenario {
+        seed: 12,
+        ..presets::single_incast(8, 0, 100, 20_000)
+    };
+    let mut sim = sc
+        .build_with(SimConfig::dctcp_dibs())
+        .expect("preset builds");
     let spec: TraceSpec = "send,retransmit,ack,enqueue,detour,deliver"
         .parse()
         .expect("valid trace spec");
     sim.set_tracer(Tracer::from_spec(&spec));
     let results = sim.run();
     let events = &results.trace.as_ref().expect("tracer installed").events;
-    let topo = fat_tree(FatTreeParams::paper_default());
+    let topo = sc.topology.build(sc.seed);
 
     println!(
         "incast degree 100, 20 KB responses: {} packets detoured at least once, {} detour events, {} drops\n",

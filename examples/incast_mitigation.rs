@@ -9,28 +9,20 @@
 //! cargo run --release --example incast_mitigation
 //! ```
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
-use dibs_engine::time::SimDuration;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, Scenario, SimConfig};
 
 fn main() {
-    let workload = MixedWorkload {
-        qps: 1000.0,
-        incast_degree: 40,
-        response_bytes: 20_000,
-        bg_interarrival: SimDuration::from_millis(120),
-        duration: SimDuration::from_millis(300),
-        drain: SimDuration::from_millis(500),
+    let (qps, degree, response_bytes) = (1000.0, 40, 20_000);
+    let workload = Scenario {
+        duration_ms: 300,
+        drain_ms: 500,
+        ..presets::mixed(120, qps, degree, response_bytes)
     };
     println!(
-        "K=8 fat-tree, {} qps, incast degree {}, {} KB responses\n",
-        workload.qps,
-        workload.incast_degree,
-        workload.response_bytes / 1000
+        "K=8 fat-tree, {qps} qps, incast degree {degree}, {} KB responses\n",
+        response_bytes / 1000
     );
 
-    let tree = FatTreeParams::paper_default();
     println!(
         "{:<16} {:>14} {:>16} {:>8} {:>10} {:>12}",
         "scheme", "QCT p99 (ms)", "BG FCT p99 (ms)", "drops", "detours", "pkts detoured"
@@ -39,7 +31,7 @@ fn main() {
         ("DCTCP", SimConfig::dctcp_baseline()),
         ("DCTCP + DIBS", SimConfig::dctcp_dibs()),
     ] {
-        let mut r = mixed_workload_sim(tree, cfg, workload).run();
+        let mut r = workload.build_with(cfg).expect("preset builds").run();
         println!(
             "{:<16} {:>14.2} {:>16.2} {:>8} {:>10} {:>11.1}%",
             name,

@@ -8,20 +8,15 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::SimConfig;
-use dibs_engine::time::SimDuration;
-use dibs_net::builders::FatTreeParams;
+use dibs::{presets, Scenario, SimConfig};
 use dibs_switch::DibsPolicy;
 
 fn main() {
-    let workload = MixedWorkload {
-        qps: 1500.0,
-        duration: SimDuration::from_millis(300),
-        drain: SimDuration::from_millis(500),
-        ..MixedWorkload::paper_default()
+    let workload = Scenario {
+        duration_ms: 300,
+        drain_ms: 500,
+        ..presets::mixed(120, 1500.0, 40, 20_000)
     };
-    let tree = FatTreeParams::paper_default();
 
     let policies: [(&str, DibsPolicy); 5] = [
         ("none (droptail)", DibsPolicy::Disabled),
@@ -37,7 +32,7 @@ fn main() {
     );
     for (name, policy) in policies {
         let cfg = SimConfig::dctcp_dibs().with_policy(policy);
-        let mut r = mixed_workload_sim(tree, cfg, workload).run();
+        let mut r = workload.build_with(cfg).expect("preset builds").run();
         println!(
             "{:<18} {:>14.2} {:>16.2} {:>8} {:>10}",
             name,

@@ -8,8 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dibs::presets::testbed_incast_sim;
-use dibs::SimConfig;
+use dibs::{presets, SimConfig};
 use dibs_switch::BufferConfig;
 
 fn main() {
@@ -27,8 +26,9 @@ fn main() {
         "{:<20} {:>10} {:>8} {:>9} {:>9}",
         "configuration", "QCT (ms)", "drops", "detours", "timeouts"
     );
+    let incast = presets::testbed_incast(50, 32_000);
     for (name, cfg) in configs {
-        let mut results = testbed_incast_sim(cfg, 5, 10, 32_000).run();
+        let mut results = incast.build_with(cfg).expect("preset builds").run();
         println!(
             "{:<20} {:>10.2} {:>8} {:>9} {:>9}",
             name,

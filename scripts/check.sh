@@ -62,10 +62,21 @@ if [[ $quick -eq 0 ]]; then
             python3 -m json.tool "$chrome" >/dev/null
         fi
         echo "    digest identical traced vs untraced; Chrome JSON valid"
+        # Every figure/table binary at quick scale, so each one's scenario
+        # wiring actually runs; repro_all exits nonzero if any binary fails.
+        echo "==> repro_all --quick (every figure/table binary, into a temp dir)"
+        cargo build -q -p dibs-bench --release --offline --bins
+        DIBS_RESULTS_DIR="$tmp" cargo run -q -p dibs-bench --release --offline \
+            --bin repro_all -- --quick --jobs 2 >"$tmp/repro_all.log" 2>&1 || {
+            tail -n 40 "$tmp/repro_all.log" >&2
+            echo "FAIL: repro_all --quick" >&2
+            exit 1
+        }
+        tail -n 1 "$tmp/repro_all.log"
+        # fig01/fig02 take no scale, so the quick pass must reproduce the
+        # committed records exactly.
         echo "==> trace-built figures (fig01/fig02 JSON matches results/)"
         for fig in fig01_detour_path fig02_detour_timeline; do
-            DIBS_RESULTS_DIR="$tmp" cargo run -q -p dibs-bench --release \
-                --offline --bin "$fig" >/dev/null
             if ! diff -u "results/$fig.json" "$tmp/$fig.json"; then
                 echo "FAIL: $fig no longer reproduces results/$fig.json" >&2
                 exit 1

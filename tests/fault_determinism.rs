@@ -3,8 +3,7 @@
 //! tracing on or off, and a zero-probability drop profile is completely
 //! unobservable in the digest.
 
-use dibs::presets::testbed_incast_sim;
-use dibs::{FaultSpec, RunDescriptor, RunDigest, SimConfig, TraceSpec, Tracer};
+use dibs::{presets, RunDescriptor, RunDigest, Scenario, SimConfig, TraceSpec, Tracer};
 use dibs_harness::Executor;
 
 const MASTER_SEED: u64 = 0xD1B5_2014;
@@ -23,14 +22,17 @@ fn sweep() -> Vec<RunDescriptor> {
 }
 
 fn run_one(desc: &RunDescriptor, spec: &str, traced: bool) -> String {
-    let cfg = SimConfig::dctcp_dibs().with_seed(desc.seed(MASTER_SEED));
-    let mut sim = testbed_incast_sim(cfg, 5, 4, 32_000);
+    let sc = Scenario {
+        seed: desc.seed(MASTER_SEED),
+        faults: spec.parse().expect("valid spec"),
+        ..presets::testbed_incast(20, 32_000)
+    };
+    let mut sim = sc
+        .build_with(SimConfig::dctcp_dibs())
+        .expect("spec resolves on mini testbed");
     if traced {
         sim.set_tracer(Tracer::from_spec(&TraceSpec::parse("all").expect("valid")));
     }
-    let spec: FaultSpec = spec.parse().expect("valid spec");
-    sim.set_faults(&spec)
-        .expect("spec resolves on mini testbed");
     let results = sim.run();
     format!("## {}\n{}", desc.label(), RunDigest::of(&results).as_str())
 }

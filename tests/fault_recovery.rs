@@ -4,8 +4,9 @@
 //! drop-tail while an uplink is dark. A K=4 fat-tree incast cut by its
 //! horizon mid-burst checks the accounting of packets still in flight.
 
-use dibs::presets::testbed_incast_sim;
-use dibs::{FaultSpec, RunDescriptor, RunDigest, RunResults, SimConfig, Simulation};
+use dibs::{
+    presets, FaultSpec, RunDescriptor, RunDigest, RunResults, Scenario, SimConfig, Simulation,
+};
 use dibs_engine::time::SimTime;
 use dibs_net::builders::{fat_tree, mini_testbed, FatTreeParams};
 use dibs_net::ids::HostId;
@@ -83,26 +84,28 @@ fn dibs_delivers_more_than_drop_tail_during_an_uplink_outage() {
     // Drop-tail queues toward the dead port overflow and shed packets;
     // DIBS detours those packets to the surviving aggregation switch
     // instead. Paired seeds, summed over replicates so one lucky draw
-    // cannot decide the comparison.
-    let fault = "link-down:t=0ns:edge2-aggr0:dur=10ms";
+    // cannot decide the comparison. 40 flows: 5 senders x 8.
+    let fault: FaultSpec = "link-down:t=0ns:edge2-aggr0:dur=10ms"
+        .parse()
+        .expect("valid");
     let mut dibs_delivered = 0u64;
     let mut baseline_delivered = 0u64;
     let mut dibs_drops = 0u64;
     let mut baseline_drops = 0u64;
     for replicate in 0..4u64 {
-        let seed = RunDescriptor::new("fault_recovery_incast", "paired", 0, replicate)
-            .paired_seed(MASTER_SEED);
+        let sc = Scenario {
+            seed: RunDescriptor::new("fault_recovery_incast", "paired", 0, replicate)
+                .paired_seed(MASTER_SEED),
+            faults: fault.clone(),
+            ..presets::testbed_incast(40, 32_000)
+        };
         for dibs_on in [true, false] {
             let cfg = if dibs_on {
                 SimConfig::dctcp_dibs()
             } else {
                 SimConfig::dctcp_baseline()
-            }
-            .with_seed(seed);
-            let mut sim = testbed_incast_sim(cfg, 5, 8, 32_000);
-            sim.set_faults(&fault.parse::<FaultSpec>().expect("valid"))
-                .expect("resolves");
-            let results = sim.run();
+            };
+            let results = sc.build_with(cfg).expect("resolves").run();
             if dibs_on {
                 dibs_delivered += results.counters.packets_delivered;
                 dibs_drops += results.counters.total_drops();

@@ -2,29 +2,26 @@
 //! (at small, debug-friendly scale). These are the "shape" checks: who
 //! wins, roughly by how much, and where the collateral damage lands.
 
-use dibs::presets::{mixed_workload_sim, MixedWorkload};
-use dibs::{RunResults, SimConfig};
-use dibs_engine::time::SimDuration;
+use dibs::{presets, RunResults, Scenario, SimConfig};
 use dibs_harness::Executor;
-use dibs_net::builders::FatTreeParams;
+
+fn run(sc: &Scenario, cfg: SimConfig) -> RunResults {
+    sc.build_with(cfg).expect("scenario builds").run()
+}
 
 /// Run the same workload under several configs through the sweep executor
 /// (one job per config when cores allow), returning results in input order.
-fn run_all(wl: MixedWorkload, cfgs: Vec<SimConfig>) -> Vec<RunResults> {
-    Executor::from_env().map(cfgs, |cfg| mixed_workload_sim(k8(), cfg, wl).run())
+fn run_all(wl: Scenario, cfgs: Vec<SimConfig>) -> Vec<RunResults> {
+    Executor::from_env().map(cfgs, |cfg| run(&wl, cfg))
 }
 
-fn small_mixed(qps: f64) -> MixedWorkload {
-    MixedWorkload {
-        qps,
-        duration: SimDuration::from_millis(120),
-        drain: SimDuration::from_millis(400),
-        ..MixedWorkload::paper_default()
+/// The K=8 mixed workload at `qps` over a short 120 ms window.
+fn small_mixed(qps: f64) -> Scenario {
+    Scenario {
+        duration_ms: 120,
+        drain_ms: 400,
+        ..presets::mixed(120, qps, 40, 20_000)
     }
-}
-
-fn k8() -> FatTreeParams {
-    FatTreeParams::paper_default()
 }
 
 /// §1/abstract: DIBS reduces the 99th percentile of query completion time
@@ -56,7 +53,7 @@ fn dibs_reduces_tail_qct() {
 #[ignore = "tier-2 (>10 s): run via scripts/check.sh --full or --include-ignored"]
 fn collateral_damage_is_limited() {
     let wl = small_mixed(1000.0);
-    let dibs = mixed_workload_sim(k8(), SimConfig::dctcp_dibs(), wl).run();
+    let dibs = run(&wl, SimConfig::dctcp_dibs());
     let frac = dibs.counters.detoured_fraction();
     assert!(
         frac < 0.20,
@@ -104,13 +101,10 @@ fn high_degree_is_burstier_than_large_responses() {
     // destination port far harder. 600 qps over a 150 ms window gives
     // enough queries for a stable 90th percentile at test scale (the full
     // Fig 10/11 sweeps in dibs-bench report the 99th).
-    let mk = |degree: usize, resp: u64| MixedWorkload {
-        incast_degree: degree,
-        response_bytes: resp,
-        qps: 600.0,
-        duration: SimDuration::from_millis(150),
-        drain: SimDuration::from_millis(400),
-        ..MixedWorkload::paper_default()
+    let mk = |degree: usize, resp: u64| Scenario {
+        duration_ms: 150,
+        drain_ms: 400,
+        ..presets::mixed(120, 600.0, degree, resp)
     };
     // Three independent runs: fan them out through the executor.
     let arms = vec![
@@ -118,8 +112,7 @@ fn high_degree_is_burstier_than_large_responses() {
         (SimConfig::dctcp_baseline(), mk(40, 50_000)),
         (SimConfig::dctcp_dibs(), mk(100, 20_000)),
     ];
-    let mut runs =
-        Executor::from_env().map(arms, |(cfg, wl)| mixed_workload_sim(k8(), cfg, wl).run());
+    let mut runs = Executor::from_env().map(arms, |(cfg, wl)| run(&wl, cfg));
     let dibs_many = runs.pop().unwrap();
     let mut base_big = runs.pop().unwrap();
     let mut base_many = runs.pop().unwrap();

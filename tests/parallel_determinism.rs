@@ -6,10 +6,8 @@
 //! completion order — and results are merged in descriptor order, so the
 //! worker count is unobservable in the output.
 
-use dibs::presets::single_incast_sim;
-use dibs::{RunDescriptor, RunDigest, SimConfig};
+use dibs::{presets, RunDescriptor, RunDigest, Scenario, SimConfig};
 use dibs_harness::Executor;
-use dibs_net::builders::FatTreeParams;
 
 const MASTER_SEED: u64 = 0xD1B5_2014;
 
@@ -36,18 +34,17 @@ fn run_one(desc: &RunDescriptor) -> String {
         "dctcp" => SimConfig::dctcp_baseline(),
         "dibs" => SimConfig::dctcp_dibs(),
         other => panic!("unknown variant {other}"),
-    }
-    .with_seed(desc.seed(MASTER_SEED));
-    // K=4 fat-tree keeps each run well under 100 ms; the incast target and
-    // responders are drawn from the run's seed, so every replicate sees
-    // different traffic.
-    let tree = FatTreeParams {
-        k: 4,
-        ..FatTreeParams::paper_default()
     };
+    // K=4 fat-tree keeps each run well under 100 ms; the incast target
+    // moves with the replicate and the run's seed drives ECMP and
+    // detouring, so every run is distinct.
     #[allow(clippy::cast_possible_truncation)]
-    let degree = desc.point as usize;
-    let results = single_incast_sim(tree, cfg, degree, 20_000).run();
+    let (degree, target) = (desc.point as usize, desc.replicate as u32);
+    let sc = Scenario {
+        seed: desc.seed(MASTER_SEED),
+        ..presets::single_incast(4, target, degree, 20_000)
+    };
+    let results = sc.build_with(cfg).expect("incast builds").run();
     format!("## {}\n{}", desc.label(), RunDigest::of(&results).as_str())
 }
 

@@ -7,10 +7,8 @@
 //! {untraced, fully traced} x {--jobs 1, --jobs 8} — and every digest
 //! string must match the untraced single-threaded reference exactly.
 
-use dibs::presets::{single_incast_sim, testbed_incast_sim};
-use dibs::{RunDescriptor, RunDigest, SimConfig, Simulation, TraceSpec, Tracer};
+use dibs::{presets, RunDescriptor, RunDigest, Scenario, SimConfig, Simulation, TraceSpec, Tracer};
 use dibs_harness::Executor;
-use dibs_net::builders::FatTreeParams;
 use dibs_switch::BufferConfig;
 
 /// Master seed shared by all golden runs; mirrors the bench default.
@@ -18,36 +16,32 @@ const MASTER_SEED: u64 = 0xD1B5_2014;
 
 const SCENARIOS: usize = 3;
 
-fn k4() -> FatTreeParams {
-    FatTreeParams {
-        k: 4,
-        ..FatTreeParams::paper_default()
-    }
-}
-
 /// Builds golden scenario `idx` (fresh simulation each call).
 fn build(idx: usize) -> Simulation {
-    match idx {
-        0 => {
-            let d = RunDescriptor::new("golden_testbed_incast", "dibs", 5, 0);
-            let cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
-            testbed_incast_sim(cfg, 5, 4, 32_000)
-        }
+    let golden = |family: &str, point: u64, incast: Scenario| Scenario {
+        seed: RunDescriptor::new(family, "dibs", point, 0).seed(MASTER_SEED),
+        ..incast
+    };
+    let k4_incast = presets::single_incast(4, 0, 8, 20_000);
+    let mut cfg = SimConfig::dctcp_dibs();
+    let sc = match idx {
+        0 => golden(
+            "golden_testbed_incast",
+            5,
+            presets::testbed_incast(20, 32_000),
+        ),
         1 => {
-            let d = RunDescriptor::new("golden_buffer_sweep", "dibs", 25, 0);
-            let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
             cfg.switch.buffer = BufferConfig::StaticPerPort { packets: 25 };
             cfg.switch.ecn_threshold = Some(20);
-            single_incast_sim(k4(), cfg, 8, 20_000)
+            golden("golden_buffer_sweep", 25, k4_incast)
         }
         2 => {
-            let d = RunDescriptor::new("golden_ttl_sweep", "dibs", 12, 0);
-            let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(MASTER_SEED));
             cfg.tcp.initial_ttl = 12;
-            single_incast_sim(k4(), cfg, 8, 20_000)
+            golden("golden_ttl_sweep", 12, k4_incast)
         }
         other => unreachable!("no golden scenario {other}"),
-    }
+    };
+    sc.build_with(cfg).expect("golden scenario builds")
 }
 
 #[test]

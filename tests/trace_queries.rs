@@ -3,8 +3,7 @@
 //! detoured packet's full hop sequence from the event stream — including
 //! the Fig 1 path of the most-detoured delivery.
 
-use dibs::presets::single_incast_sim;
-use dibs::{RunDescriptor, SimConfig, TraceSpec, Tracer};
+use dibs::{presets, RunDescriptor, Scenario, SimConfig, TraceSpec, Tracer};
 use dibs_net::builders::{fat_tree, FatTreeParams};
 use dibs_net::ids::NodeId;
 use dibs_switch::BufferConfig;
@@ -24,10 +23,14 @@ fn k4() -> FatTreeParams {
 /// detouring, so the trace is guaranteed to contain detoured packets.
 fn traced_incast() -> TraceReport {
     let d = RunDescriptor::new("golden_buffer_sweep", "dibs", 25, 0);
-    let mut cfg = SimConfig::dctcp_dibs().with_seed(d.seed(0xD1B5_2014));
+    let mut cfg = SimConfig::dctcp_dibs();
     cfg.switch.buffer = BufferConfig::StaticPerPort { packets: 25 };
     cfg.switch.ecn_threshold = Some(20);
-    let mut sim = single_incast_sim(k4(), cfg, 8, 20_000);
+    let sc = Scenario {
+        seed: d.seed(0xD1B5_2014),
+        ..presets::single_incast(4, 0, 8, 20_000)
+    };
+    let mut sim = sc.build_with(cfg).expect("incast builds");
     let spec: TraceSpec = "all".parse().expect("valid spec");
     sim.set_tracer(Tracer::from_spec(&spec));
     sim.run().trace.expect("tracer was installed")
