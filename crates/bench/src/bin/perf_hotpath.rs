@@ -1,5 +1,6 @@
-//! Hot-path throughput suite: event-queue ops, FIB lookups, and
-//! end-to-end incast simulation rate, emitted as `BENCH_hotpath.json`.
+//! Hot-path microbenchmarks: event-queue ops and FIB lookups, emitted as
+//! `BENCH_hotpath.json`. End-to-end simulation rates are measured by
+//! `perfbench` instead.
 //!
 //! This binary seeds the repository's perf trajectory: it pins the pre-PR
 //! baseline numbers (measured on the heap-based event queue and the
@@ -18,8 +19,6 @@
 //! writes `results/BENCH_hotpath_smoke.json` instead so CI runs never
 //! clobber the committed record.
 
-use dibs::{presets, SimConfig};
-use dibs_bench::run;
 use dibs_bench::timing::{CaseMeasurement, Group};
 use dibs_engine::queue::EventQueue;
 use dibs_engine::rng::SimRng;
@@ -31,27 +30,18 @@ use dibs_net::routing::Fib;
 use std::hint::black_box;
 
 /// Pre-PR hot-path baseline, measured at commit `eb3fc25` (binary heap
-/// event queue, nested-`Vec` FIB, no ECMP memo) with the same workloads
-/// this binary runs. Pinned so the committed `BENCH_hotpath.json` always
-/// records both sides of the comparison.
+/// event queue, nested-`Vec` FIB) with the same workloads this binary
+/// runs. Pinned so the committed `BENCH_hotpath.json` always records
+/// both sides of the comparison.
 ///
 /// The shared build machine's absolute throughput drifts by tens of
-/// percent across time windows (the same binary has measured anywhere
-/// from ~4.9M to ~7.1M baseline events/sec), so absolute rates are only
-/// comparable *within* a window. All three baselines below were
-/// therefore measured with a paired protocol: a pristine `eb3fc25`
-/// worktree ran probes replicating each case's exact workload and
-/// measurement statistic (calibrated ~30 ms batches, best of 5)
-/// immediately before the suite run that produced the committed
-/// `BENCH_hotpath.json`, and a second e2e probe immediately after
-/// confirmed the window held (4.81M events/sec). Across 12 paired A/B
-/// runs the per-pair e2e speedup ratio ranged 1.45-1.74 while absolute
-/// rates drifted, so the committed speedup figure is representative,
-/// not a lucky window.
+/// percent across time windows, so absolute rates are only comparable
+/// *within* a window. Both baselines below were therefore measured with
+/// a paired protocol: a pristine `eb3fc25` worktree ran probes
+/// replicating each case's exact workload and measurement statistic
+/// (calibrated ~30 ms batches, best of 5) immediately before the suite
+/// run that produced the committed `BENCH_hotpath.json`.
 mod baseline {
-    /// `e2e/incast_dibs` events per second (paired probe run in the
-    /// same window as the committed suite run).
-    pub const E2E_INCAST_EVENTS_PER_SEC: f64 = 4_987_516.0;
     /// `event_queue/push_pop_hot` nanoseconds per op.
     pub const QUEUE_PUSH_POP_NS_PER_OP: f64 = 36.40;
     /// `fib/select_port` nanoseconds per lookup.
@@ -145,87 +135,12 @@ fn bench_fib(s: &mut Suite) {
     s.cases.push(m);
 }
 
-fn bench_e2e(s: &mut Suite) {
-    let g = Group::new("e2e");
-    // One full testbed incast per iteration: 5 senders x 4 (smoke) or x 10
-    // flows of 32 KB.
-    let incast = presets::testbed_incast(if s.smoke { 20 } else { 50 }, 32_000);
-    for (name, cfg) in [
-        ("incast_dibs", SimConfig::dctcp_dibs()),
-        ("incast_droptail", SimConfig::dctcp_baseline()),
-    ] {
-        let m = g.case_rate(name, "events", || {
-            let results = run(&incast, cfg);
-            // The measured path IS the trace-disabled path: the default
-            // Tracer::Off must record nothing and attach no report.
-            assert!(
-                results.trace.is_none(),
-                "default build must run with tracing fully disabled"
-            );
-            black_box(results.events_dispatched)
-        });
-        s.cases.push(m);
-    }
-}
-
-/// `--smoke`: compare the just-measured trace-disabled event-loop rate to
-/// the committed full-suite record and warn loudly on a >2% shortfall.
-///
-/// A warning, not a gate: the shared build machine's absolute throughput
-/// drifts by tens of percent across time windows (see the `baseline`
-/// docs), and smoke runs a trimmed workload (20 flows vs the full
-/// suite's 50), so only a paired A/B run on one machine can convict a
-/// commit. The warning tells CI eyeballs where to point that protocol.
-fn warn_if_smoke_regressed(e2e_rate: f64) {
-    const COMMITTED: &str = "BENCH_hotpath.json";
-    let Ok(text) = std::fs::read_to_string(COMMITTED) else {
-        eprintln!("note: no committed {COMMITTED} here; skipping the smoke rate check");
-        return;
-    };
-    let committed_rate = Json::parse(&text).ok().and_then(|j| {
-        j.get("current")
-            .and_then(|c| c.get("e2e_incast_events_per_sec").and_then(Json::as_f64))
-    });
-    let Some(committed_rate) = committed_rate else {
-        eprintln!("note: {COMMITTED} has no current.e2e_incast_events_per_sec; skipping");
-        return;
-    };
-    if committed_rate <= 0.0 {
-        return;
-    }
-    let ratio = e2e_rate / committed_rate;
-    if ratio < 0.98 {
-        eprintln!(
-            "\nWARNING: smoke e2e event rate is {ratio:.2}x the committed record\n\
-             ({e2e_rate:.0} vs {committed_rate:.0} events/sec in {COMMITTED}).\n\
-             This machine's absolute throughput drifts across time windows and\n\
-             smoke runs a trimmed incast (20 flows vs 50), so this is a HINT,\n\
-             not a verdict. Before reverting anything, run the paired-baseline\n\
-             protocol from DESIGN.md §2c: benchmark the suspect commit and its\n\
-             parent back-to-back in one window and compare those two numbers."
-        );
-    } else {
-        println!("smoke e2e rate is {ratio:.2}x the committed record (>= 0.98x, ok)");
-    }
-}
-
 fn report(s: &Suite) -> Json {
-    let e2e = s.find("e2e", "incast_dibs").expect("e2e case ran");
     let queue = s.find("event_queue", "push_pop_hot").expect("queue case");
     let fib = s.find("fib", "select_port").expect("fib case");
-    let e2e_rate = e2e.items_per_sec();
-    let speedup = if baseline::E2E_INCAST_EVENTS_PER_SEC > 0.0 {
-        e2e_rate / baseline::E2E_INCAST_EVENTS_PER_SEC
-    } else {
-        f64::NAN
-    };
 
     let baseline_obj = ObjBuilder::new()
         .field("commit", baseline::COMMIT)
-        .field(
-            "e2e_incast_events_per_sec",
-            baseline::E2E_INCAST_EVENTS_PER_SEC,
-        )
         .field(
             "event_queue_push_pop_ns_per_op",
             baseline::QUEUE_PUSH_POP_NS_PER_OP,
@@ -237,7 +152,6 @@ fn report(s: &Suite) -> Json {
         .build();
 
     let current_obj = ObjBuilder::new()
-        .field("e2e_incast_events_per_sec", e2e_rate)
         .field(
             "event_queue_push_pop_ns_per_op",
             queue.ns_per_iter / queue.items_per_iter,
@@ -254,7 +168,6 @@ fn report(s: &Suite) -> Json {
         .field("mode", if s.smoke { "smoke" } else { "full" })
         .field("baseline", baseline_obj)
         .field("current", current_obj)
-        .field("e2e_speedup_vs_baseline", speedup)
         .field("cases", cases)
         .build()
 }
@@ -268,7 +181,6 @@ fn main() {
 
     bench_event_queue(&mut suite);
     bench_fib(&mut suite);
-    bench_e2e(&mut suite);
 
     let json = report(&suite);
     let path = if smoke {
@@ -280,15 +192,5 @@ fn main() {
     match std::fs::write(&path, json.render_pretty()) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    }
-    if let Some(speedup) = json.get("e2e_speedup_vs_baseline").and_then(Json::as_f64) {
-        if speedup.is_finite() {
-            println!("e2e incast speedup vs pre-PR baseline: {speedup:.2}x");
-        }
-    }
-    if smoke {
-        if let Some(e2e) = suite.find("e2e", "incast_dibs") {
-            warn_if_smoke_regressed(e2e.items_per_sec());
-        }
     }
 }

@@ -3,8 +3,7 @@
 //! A packet leaves a transmitter's control when the port starts
 //! serializing it and re-enters a node's control when it reaches the
 //! next switch or its destination host. For that stretch — the host NIC
-//! queue, serialization, propagation and (CIOQ) the forwarding pipeline —
-//! it lives here, and the timing wheel and NIC queues carry a 4-byte
+//! queue, serialization and propagation — it lives here, and the timing wheel and NIC queues carry a 4-byte
 //! [`PacketHandle`] instead of the packet itself. Freed slots are reused
 //! LIFO, so a take-then-insert cycle touches cache-hot memory.
 

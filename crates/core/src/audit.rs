@@ -8,13 +8,13 @@
 //! law
 //!
 //! ```text
-//! sent == delivered + dropped + in_nic + in_ingress + in_buffer + in_events
+//! sent == delivered + dropped + in_nic + in_buffer + in_events
 //! ```
 //!
 //! where `in_events` counts the packets currently riding inside
-//! scheduled `TxComplete`/`Arrive`/`ForwardDone` events (serialization
-//! and propagation delays), and the other transient buckets are read
-//! directly from the NIC, CIOQ ingress, and switch buffer state.
+//! scheduled `TxComplete`/`Arrive` events (serialization and propagation
+//! delays), and the other transient buckets are read directly from the
+//! NIC and switch buffer state.
 //!
 //! The packets in NIC queues and in events are stored in the
 //! simulation's packet arena, so the check also asserts the arena
@@ -60,8 +60,6 @@ pub struct LedgerSnapshot {
     pub dropped: u64,
     /// Packets waiting in host NIC queues.
     pub in_nic: u64,
-    /// Packets waiting in CIOQ ingress queues.
-    pub in_ingress: u64,
     /// Packets resident in switch egress buffers.
     pub in_buffer: u64,
     /// Packets riding inside scheduled events (wire + serialization).
@@ -123,12 +121,8 @@ impl AuditLedger {
     /// Panics in debug builds when packets have leaked or been double
     /// counted.
     pub fn check(snap: &LedgerSnapshot) {
-        let accounted = snap.delivered
-            + snap.dropped
-            + snap.in_nic
-            + snap.in_ingress
-            + snap.in_buffer
-            + snap.in_events;
+        let accounted =
+            snap.delivered + snap.dropped + snap.in_nic + snap.in_buffer + snap.in_events;
         debug_assert!(
             snap.sent == accounted,
             "packet conservation violated: sent={} but accounted={} ({snap:?})",
@@ -165,7 +159,6 @@ mod tests {
             delivered: 4,
             dropped: 2,
             in_nic: 1,
-            in_ingress: 0,
             in_buffer: 2,
             in_events: 1,
             in_arena: 2,
@@ -180,7 +173,6 @@ mod tests {
             delivered: 4,
             dropped: 2,
             in_nic: 1,
-            in_ingress: 0,
             in_buffer: 2,
             in_events: 0,
             in_arena: 1,
@@ -197,7 +189,6 @@ mod tests {
             delivered: 4,
             dropped: 2,
             in_nic: 1,
-            in_ingress: 0,
             in_buffer: 2,
             in_events: 1,
             in_arena: 3,

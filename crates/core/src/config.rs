@@ -39,26 +39,6 @@ impl PfcConfig {
     }
 }
 
-/// Switch internal architecture (§4 "Switch buffer management").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SwitchArch {
-    /// Pure output queueing: arriving packets go straight to their egress
-    /// queue (the paper's primary description and our default).
-    OutputQueued,
-    /// Combined input/output queueing: packets wait in a per-input-port
-    /// ingress queue for the forwarding engine, which moves them to the
-    /// egress queues at `speedup x` line rate. DIBS runs at the forwarding
-    /// engine exactly as §4 describes: "if the desired output queue is
-    /// full, the forwarding engine can detour the packet to another output
-    /// port".
-    Cioq {
-        /// Forwarding-engine speedup relative to line rate (2.0 is common).
-        speedup: f64,
-        /// Per-input-port ingress queue capacity, in packets.
-        ingress_packets: usize,
-    },
-}
-
 /// How switches pick among equal-cost next hops (§3, §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcmpMode {
@@ -70,6 +50,12 @@ pub enum EcmpMode {
     /// cannot help when the bottleneck is the destination's own link.
     PacketLevel,
 }
+
+/// Host NIC transmit queue limit, in packets (a qdisc-like bound;
+/// overflowing packets drop and are recovered by retransmission). Hosts
+/// never congest in the paper's workloads — this exists to bound memory
+/// under pathological retransmission storms.
+pub const HOST_NIC_CAP: usize = 10_000;
 
 /// Everything the simulator needs besides the topology and the traffic.
 #[derive(Debug, Clone, Copy)]
@@ -93,16 +79,9 @@ pub struct SimConfig {
     pub throughput_warmup: Option<dibs_engine::time::SimTime>,
     /// Equal-cost multipath mode.
     pub ecmp: EcmpMode,
-    /// Switch internal architecture.
-    pub arch: SwitchArch,
     /// Hop-by-hop Ethernet flow control (`None` = off, the default; the
     /// paper's §6 baseline comparison).
     pub pfc: Option<PfcConfig>,
-    /// Host NIC transmit queue limit, in packets (a qdisc-like bound;
-    /// overflowing packets drop and are recovered by retransmission).
-    /// Hosts never congest in the paper's workloads — this exists to bound
-    /// memory under pathological retransmission storms.
-    pub host_nic_cap: usize,
 }
 
 impl SimConfig {
@@ -116,9 +95,7 @@ impl SimConfig {
             sample_interval: None,
             throughput_warmup: None,
             ecmp: EcmpMode::FlowLevel,
-            arch: SwitchArch::OutputQueued,
             pfc: None,
-            host_nic_cap: 10_000,
         }
     }
 

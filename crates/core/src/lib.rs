@@ -44,7 +44,7 @@ pub mod rundesc;
 pub mod scenario;
 pub mod sim;
 
-pub use config::{EcmpMode, PfcConfig, SimConfig, SwitchArch};
+pub use config::{EcmpMode, PfcConfig, SimConfig, HOST_NIC_CAP};
 pub use results::{FlowOutcome, QueryOutcome, RunDigest, RunResults};
 pub use rundesc::RunDescriptor;
 pub use scenario::Scenario;

@@ -6,15 +6,14 @@
 //! switches, as in the paper's NS-3 setup); switches run the full
 //! `dibs-switch` data path.
 //!
-//! A packet between two nodes — queued at a host NIC, serializing,
-//! propagating, or in a CIOQ forwarding pipeline — lives in the
-//! simulation's [`PacketArena`]; NIC queues and events carry its 4-byte
-//! handle. It is written there once when it leaves a node and taken once
+//! A packet between two nodes — queued at a host NIC, serializing or
+//! propagating — lives in the simulation's [`PacketArena`]; NIC queues
+//! and events carry its 4-byte handle. It is written there once when it leaves a node and taken once
 //! when it reaches the next switch or its destination host.
 
 use crate::arena::{PacketArena, PacketHandle};
 use crate::audit::{AuditLedger, LedgerSnapshot};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, HOST_NIC_CAP};
 use crate::results::{FlowOutcome, QueryOutcome, RunResults};
 use dibs_engine::rng::SimRng;
 use dibs_engine::time::{SimDuration, SimTime};
@@ -54,13 +53,6 @@ enum Event {
     Sample,
     /// Snapshot per-flow delivered bytes for warmup-relative throughput.
     WarmupSnapshot,
-    /// A switch ingress pipeline finished the forwarding delay for `pkt`
-    /// arriving on `port` and the packet is ready to be routed/enqueued.
-    ForwardDone {
-        node: NodeId,
-        port: u32,
-        pkt: PacketHandle,
-    },
     /// A PAUSE (true) or RESUME (false) frame took effect at `node`'s
     /// `port` (Ethernet flow control, §6).
     PauseSet {
@@ -164,8 +156,10 @@ pub struct Simulation {
     flows: Vec<FlowState>,
     queries: Vec<QueryState>,
 
+    /// Run counters kept by the simulator. The switch-owned counts
+    /// (`ecn_marks`, `detours`, `drops_displaced`) stay zero here until
+    /// `finalize`; read them mid-run through [`Self::folded_counters`].
     counters: NetCounters,
-    detours_per_switch: Vec<u64>,
     detour_hist: Vec<u64>,
     qct_ms: Samples,
     bg_short_fct_ms: Samples,
@@ -191,10 +185,6 @@ pub struct Simulation {
     /// `ingress_count[switch][port]` — buffered packets that arrived via
     /// that ingress port (PFC accounting).
     ingress_count: Vec<Vec<u32>>,
-    /// CIOQ only: per-switch per-input-port ingress queues.
-    ingress_q: Vec<Vec<VecDeque<Packet>>>,
-    /// CIOQ only: whether each input port's forwarding engine is busy.
-    ingress_busy: Vec<Vec<bool>>,
     /// `pause_asserted[switch][port]` — this switch has paused the link
     /// partner on `port`.
     pause_asserted: Vec<Vec<bool>>,
@@ -288,7 +278,6 @@ impl Simulation {
             flows: Vec::new(),
             queries: Vec::new(),
             counters: NetCounters::default(),
-            detours_per_switch: vec![0; n_sw],
             detour_hist: vec![0; DETOUR_HIST_BUCKETS],
             qct_ms: Samples::new(),
             bg_short_fct_ms: Samples::new(),
@@ -309,16 +298,6 @@ impl Simulation {
                 .switch_nodes()
                 .iter()
                 .map(|&n| vec![0; topo.num_ports(n)])
-                .collect(),
-            ingress_q: topo
-                .switch_nodes()
-                .iter()
-                .map(|&n| (0..topo.num_ports(n)).map(|_| VecDeque::new()).collect())
-                .collect(),
-            ingress_busy: topo
-                .switch_nodes()
-                .iter()
-                .map(|&n| vec![false; topo.num_ports(n)])
                 .collect(),
             pause_asserted: topo
                 .switch_nodes()
@@ -444,7 +423,7 @@ impl Simulation {
     /// Rough event count the scheduled traffic will generate, used to
     /// pre-size the event queue before the run starts.
     ///
-    /// Each data packet costs a handful of events per hop (arrive, forward,
+    /// Each data packet costs a handful of events per hop (arrive,
     /// tx-complete) in each direction counting acks; flows add start/RTO
     /// bookkeeping. Only an allocation hint, so precision is irrelevant —
     /// the aim is the right order of magnitude.
@@ -497,13 +476,8 @@ impl Simulation {
         AuditLedger::check(&LedgerSnapshot {
             sent: self.counters.packets_sent,
             delivered: self.counters.packets_delivered,
-            dropped: self.counters.total_drops(),
+            dropped: self.folded_counters().total_drops(),
             in_nic: self.host_nic.iter().map(|n| n.queue.len() as u64).sum(),
-            in_ingress: self
-                .ingress_q
-                .iter()
-                .flat_map(|qs| qs.iter().map(|q| q.len() as u64))
-                .sum(),
             in_buffer: self
                 .switches
                 .iter()
@@ -514,11 +488,21 @@ impl Simulation {
         });
     }
 
+    /// `self.counters` with the switch-owned counts summed in from every
+    /// `SwitchCore`: the one place those counts are folded.
+    fn folded_counters(&self) -> NetCounters {
+        let mut c = self.counters;
+        for sw in &self.switches {
+            let s = sw.counters();
+            c.ecn_marks += s.marked;
+            c.detours += s.detoured;
+            c.drops_displaced += s.displaced;
+        }
+        c
+    }
+
     fn dispatch(&mut self, ev: Event) {
-        if matches!(
-            ev,
-            Event::Arrive { .. } | Event::TxComplete { .. } | Event::ForwardDone { .. }
-        ) {
+        if matches!(ev, Event::Arrive { .. } | Event::TxComplete { .. }) {
             self.audit.packet_event_dispatched();
         }
         match ev {
@@ -533,21 +517,6 @@ impl Simulation {
             Event::WarmupSnapshot => {
                 let bytes = self.flows.iter().map(|f| f.receiver.rcv_nxt()).collect();
                 self.warmup_snapshot = Some((self.engine.now(), bytes));
-            }
-            Event::ForwardDone { node, port, pkt } => {
-                let pkt = self.packets.take(pkt);
-                let si = self.topo.as_switch(node).expect("switch").index();
-                if self.fault_crashed_switch(si) {
-                    // The switch crashed while this packet was in its
-                    // forwarding pipeline; it dies with the switch.
-                    self.counters.drops_fault += 1;
-                    self.trace_pkt(TraceKind::Drop, node.0, &pkt);
-                    self.ingress_busy[si][port as usize] = false;
-                    return;
-                }
-                self.route_and_enqueue(node, si, pkt);
-                self.ingress_busy[si][port as usize] = false;
-                self.start_forwarding(node, si, port as usize);
             }
             Event::PauseSet { node, port, paused } => {
                 self.paused[node.index()][port as usize] = paused;
@@ -684,8 +653,7 @@ impl Simulation {
 
     /// Crashes a switch permanently: every buffered packet is destroyed
     /// (with its PFC ingress accounting unwound so paused neighbors
-    /// resume), ingress pipelines are emptied, and routes recompute to
-    /// steer around the dead node.
+    /// resume), and routes recompute to steer around the dead node.
     fn crash_switch(&mut self, node: NodeId) {
         let si = self
             .topo
@@ -704,16 +672,6 @@ impl Simulation {
             self.counters.drops_fault += 1;
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
             self.pfc_on_dequeued(si, usize::from(pkt.last_ingress));
-        }
-        // CIOQ ingress queues die too; those packets were never counted
-        // into PFC buffering, so no XON bookkeeping here.
-        let ingress: Vec<Packet> = self.ingress_q[si]
-            .iter_mut()
-            .flat_map(std::mem::take)
-            .collect();
-        for pkt in ingress {
-            self.counters.drops_fault += 1;
-            self.trace_pkt(TraceKind::Drop, node.0, &pkt);
         }
         self.refresh_routes();
     }
@@ -773,7 +731,7 @@ impl Simulation {
             );
         }
         let nic = &mut self.host_nic[host.index()];
-        if nic.queue.len() >= self.config.host_nic_cap {
+        if nic.queue.len() >= HOST_NIC_CAP {
             // Qdisc-style local drop; the transport retransmits later.
             self.counters.drops_host_nic += 1;
             let node = self.topo.host_node(host).0;
@@ -955,57 +913,6 @@ impl Simulation {
             pkt.hops
         );
 
-        if let crate::config::SwitchArch::Cioq {
-            ingress_packets, ..
-        } = self.config.arch
-        {
-            // CIOQ: queue at the ingress; the forwarding engine moves
-            // packets to egress at speedup x line rate.
-            let ingress = usize::from(pkt.last_ingress);
-            if self.ingress_q[si][ingress].len() >= ingress_packets {
-                self.counters.drops_buffer += 1;
-                self.trace_pkt(TraceKind::Drop, node.0, &pkt);
-                return;
-            }
-            self.ingress_q[si][ingress].push_back(pkt);
-            self.start_forwarding(node, si, ingress);
-            return;
-        }
-        self.route_and_enqueue(node, si, pkt);
-    }
-
-    /// CIOQ: start the ingress port's forwarding engine if idle.
-    fn start_forwarding(&mut self, node: NodeId, si: usize, ingress: usize) {
-        if self.ingress_busy[si][ingress] {
-            return;
-        }
-        let Some(pkt) = self.ingress_q[si][ingress].pop_front() else {
-            return;
-        };
-        let crate::config::SwitchArch::Cioq { speedup, .. } = self.config.arch else {
-            unreachable!("ingress queues are only fed in CIOQ mode");
-        };
-        self.ingress_busy[si][ingress] = true;
-        // Speedup is a small positive factor; the scaled rate stays far
-        // below u64::MAX for any physical link.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let rate = (self.topo.port(node, ingress).rate_bps as f64 * speedup) as u64;
-        let service = SimDuration::serialization(u64::from(pkt.wire_bytes), rate.max(1));
-        self.audit.packet_event_scheduled();
-        let handle = self.packets.insert(pkt);
-        self.engine.schedule_in(
-            service,
-            Event::ForwardDone {
-                node,
-                port: u32::try_from(ingress).expect("port index fits u32"),
-                pkt: handle,
-            },
-        );
-    }
-
-    /// FIB lookup + egress admission (the §2 data path), common to both
-    /// switch architectures.
-    fn route_and_enqueue(&mut self, node: NodeId, si: usize, pkt: Packet) {
         if self.fault_should_drop(&pkt) {
             self.counters.drops_fault += 1;
             self.trace_pkt(TraceKind::Drop, node.0, &pkt);
@@ -1049,17 +956,10 @@ impl Simulation {
             &mut self.tracer,
         );
         if let Some(displaced) = result.displaced {
-            self.counters.drops_displaced += 1;
             self.pfc_on_dequeued(si, usize::from(displaced.last_ingress));
         }
         match result.outcome {
-            EnqueueOutcome::Enqueued { port } => {
-                self.pfc_on_buffered(node, si, ingress);
-                self.kick_switch_port(node, si, port);
-            }
-            EnqueueOutcome::Detoured { port } => {
-                self.counters.detours += 1;
-                self.detours_per_switch[si] += 1;
+            EnqueueOutcome::Enqueued { port } | EnqueueOutcome::Detoured { port } => {
                 self.pfc_on_buffered(node, si, ingress);
                 self.kick_switch_port(node, si, port);
             }
@@ -1285,11 +1185,6 @@ impl Simulation {
             .map(|n| n.queue.len() as u64)
             .sum::<u64>()
             + self
-                .ingress_q
-                .iter()
-                .flat_map(|qs| qs.iter().map(|q| q.len() as u64))
-                .sum::<u64>()
-            + self
                 .switches
                 .iter()
                 .map(|s| s.total_buffered() as u64)
@@ -1297,9 +1192,12 @@ impl Simulation {
             + self.audit.in_events();
 
         // Fold in switch and sender counters.
-        for sw in &self.switches {
-            self.counters.ecn_marks += sw.counters().marked;
-        }
+        self.counters = self.folded_counters();
+        let detours_per_switch: Vec<u64> = self
+            .switches
+            .iter()
+            .map(|sw| sw.counters().detoured)
+            .collect();
         for f in &self.flows {
             self.counters.rto_timeouts += f.sender.counters().timeouts;
             self.counters.fast_retransmits += f.sender.counters().fast_retransmits;
@@ -1354,7 +1252,7 @@ impl Simulation {
             flows: flow_outcomes,
             queries: query_outcomes,
             counters: self.counters,
-            detours_per_switch: self.detours_per_switch,
+            detours_per_switch,
             detour_histogram: self.detour_hist,
             hot_fraction_samples: self.hot_samples,
             neighbor_free_1hop: self.neighbor_free_1hop,

@@ -1,7 +1,7 @@
 //! Core simulator integration tests: the paper's headline behaviors on
 //! small topologies (kept small so debug-mode `cargo test` stays fast).
 
-use dibs::{presets, RunResults, Scenario, SimConfig, Simulation};
+use dibs::{presets, RunResults, Scenario, SimConfig, Simulation, HOST_NIC_CAP};
 use dibs_engine::time::SimTime;
 use dibs_net::builders::{fat_tree, single_switch, FatTreeParams};
 use dibs_net::ids::HostId;
@@ -289,14 +289,11 @@ fn fairness_dibs_does_not_induce_unfairness() {
     );
 }
 
-/// Detour bookkeeping is consistent: per-switch counts sum to the global
-/// counter, and the delivery histogram accounts for every packet.
+/// Detour bookkeeping is consistent: the delivery histogram accounts
+/// for every packet.
 #[test]
 fn detour_accounting_consistent() {
     let results = testbed(SimConfig::dctcp_dibs());
-    let per_switch: u64 = results.detours_per_switch.iter().sum();
-    assert_eq!(per_switch, results.counters.detours);
-    // Histogram mass equals delivered packets.
     let hist_total: u64 = results.detour_histogram.iter().sum();
     assert_eq!(hist_total, results.counters.packets_delivered);
 }
@@ -347,45 +344,52 @@ fn sampling_produces_hotlink_series() {
         .all(|&f| (0.0..=1.0).contains(&f)));
 }
 
-/// An ECN-blind loss-based sender (NewReno semantics with marking ignored)
-/// paired with DIBS keeps queues saturated — the §3 requirement that DIBS
-/// needs an ECN-reactive controller.
+/// An ECN-blind loss-based sender (switches never mark, so the sender
+/// reacts only to loss) paired with DIBS keeps queues saturated — the §3
+/// requirement that DIBS needs an ECN-reactive controller.
 #[test]
 fn dibs_with_loss_based_cc_floods_buffers() {
-    let mut dibs_newreno = SimConfig::dctcp_dibs();
-    dibs_newreno.switch.ecn_threshold = None; // No marking: NewReno-over-droptail semantics.
-    let newreno = testbed(dibs_newreno);
+    let mut dibs_no_ecn = SimConfig::dctcp_dibs();
+    dibs_no_ecn.switch.ecn_threshold = None; // No marking: loss-based semantics.
+    let no_ecn = testbed(dibs_no_ecn);
 
     let dctcp = testbed(SimConfig::dctcp_dibs());
     // Without ECN the network detours far more (queues stay full longer).
     assert!(
-        newreno.counters.detours > dctcp.counters.detours,
+        no_ecn.counters.detours > dctcp.counters.detours,
         "no-ECN detours {} should exceed DCTCP detours {}",
-        newreno.counters.detours,
+        no_ecn.counters.detours,
         dctcp.counters.detours
     );
 }
 
 /// The host NIC cap drops locally once exceeded, and the transport
-/// recovers via retransmission.
+/// recovers via retransmission: one host opens enough flows at t = 0
+/// that their initial windows alone overflow [`HOST_NIC_CAP`].
 #[test]
 fn host_nic_cap_drops_and_recovers() {
     let topo = single_switch(3, LinkSpec::gbit(1));
     let mut cfg = SimConfig::dctcp_dibs();
-    cfg.horizon = SimTime::from_secs(3);
-    cfg.host_nic_cap = 5; // Absurdly small: the initial window overflows it.
+    cfg.horizon = SimTime::from_secs(5);
+    let init_cwnd = cfg.tcp.init_cwnd as usize;
+    let flows = HOST_NIC_CAP / init_cwnd + 1;
+    // Exactly one initial window per flow.
+    let size = u64::from(cfg.tcp.init_cwnd * cfg.tcp.mss);
     let mut sim = Simulation::new(topo, cfg);
-    sim.add_flows([FlowSpec {
+    sim.add_flows((0..flows).map(|_| FlowSpec {
         start: SimTime::ZERO,
         src: HostId(1),
         dst: HostId(0),
-        size: 300_000,
+        size,
         class: FlowClass::Background,
-    }]);
+    }));
     let r = sim.run();
     assert!(r.counters.drops_host_nic > 0, "cap must bind");
-    assert!(r.flows[0].fct.is_some(), "flow still completes");
-    assert_eq!(r.flows[0].bytes_delivered, 300_000);
+    assert_eq!(r.flows.len(), flows);
+    for f in &r.flows {
+        assert!(f.fct.is_some(), "every flow still completes");
+        assert_eq!(f.bytes_delivered, size);
+    }
 }
 
 /// §5.5.4: oversubscribed fabrics still deliver everything; DIBS stays
@@ -550,37 +554,4 @@ fn packet_spraying_reorders_flow_level_does_not() {
     // must still deliver every byte.
     assert_eq!(flow_level.flows[0].bytes_delivered, 2_000_000);
     assert_eq!(sprayed.flows[0].bytes_delivered, 2_000_000);
-}
-
-/// §4: DIBS on a combined input/output-queued (CIOQ) switch — the
-/// forwarding engine detours when the desired egress queue is full, and
-/// the incast outcome matches the output-queued architecture: lossless,
-/// near-optimal QCT.
-#[test]
-fn cioq_architecture_supports_dibs() {
-    let mut cioq = SimConfig::dctcp_dibs();
-    cioq.arch = dibs::SwitchArch::Cioq {
-        speedup: 2.0,
-        ingress_packets: 64,
-    };
-    let mut r = testbed(cioq);
-    assert_eq!(r.counters.drops_buffer, 0, "DIBS keeps CIOQ lossless");
-    assert_eq!(r.query_completion_rate(), 1.0);
-    assert!(r.counters.detours > 0);
-    let qct_cioq = r.qct_ms.percentile(1.0).unwrap();
-
-    let mut oq = testbed(SimConfig::dctcp_dibs());
-    let qct_oq = oq.qct_ms.percentile(1.0).unwrap();
-    // The 2x-speedup forwarding stage adds only per-hop service latency.
-    assert!(
-        (qct_cioq - qct_oq).abs() < 0.2 * qct_oq,
-        "CIOQ {qct_cioq:.2} ms vs OQ {qct_oq:.2} ms"
-    );
-
-    // Without DIBS, the same CIOQ switch drops at the egress.
-    let mut base = cioq;
-    base.switch = dibs_switch::SwitchConfig::dctcp_baseline();
-    base.tcp = dibs_transport::TcpConfig::dctcp_baseline();
-    let r = testbed(base);
-    assert!(r.counters.drops_buffer > 0);
 }

@@ -13,17 +13,12 @@ pub enum FastRetransmit {
 }
 
 /// Congestion-control algorithm.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcAlgorithm {
-    /// Loss/ECN-reactive AIMD (TCP NewReno-style). With ECN it halves once
-    /// per window on ECE, per RFC 3168.
-    Reno,
-    /// DCTCP: maintain the EWMA fraction `alpha` of marked bytes and cut
-    /// `cwnd` by `alpha/2` once per window.
-    Dctcp {
-        /// EWMA gain for alpha (the DCTCP paper uses 1/16).
-        g: f64,
-    },
+    /// DCTCP: maintain the EWMA fraction `alpha` of marked bytes (gain
+    /// 1/16, as in the DCTCP paper) and cut `cwnd` by `alpha/2` once per
+    /// window.
+    Dctcp,
     /// Fixed window: no reaction to marks or losses. Used by the pFabric
     /// host stack, which starts at line rate and relies on priority
     /// scheduling plus a small fixed RTO.
@@ -39,8 +34,6 @@ pub struct TcpConfig {
     pub init_cwnd: u32,
     /// Lower bound on the retransmission timeout (Table 1: 10 ms).
     pub min_rto: SimDuration,
-    /// Upper bound on the (backed-off) retransmission timeout.
-    pub max_rto: SimDuration,
     /// Fixed RTO override: when set, RTT estimation is disabled and the RTO
     /// is always exactly this value (pFabric: 350 µs on 1 Gbps links).
     pub fixed_rto: Option<SimDuration>,
@@ -67,10 +60,9 @@ impl TcpConfig {
             mss: 1460,
             init_cwnd: 10,
             min_rto: SimDuration::from_millis(10),
-            max_rto: SimDuration::from_secs(2),
             fixed_rto: None,
             fast_retransmit: FastRetransmit::DupAckThreshold(3),
-            cc: CcAlgorithm::Dctcp { g: 1.0 / 16.0 },
+            cc: CcAlgorithm::Dctcp,
             priority_stamping: false,
             initial_ttl: 255,
             ack_every: 1,
@@ -93,23 +85,12 @@ impl TcpConfig {
             mss: 1460,
             init_cwnd: 10,
             min_rto: SimDuration::from_micros(350),
-            max_rto: SimDuration::from_millis(100),
             fixed_rto: Some(SimDuration::from_micros(350)),
             fast_retransmit: FastRetransmit::Disabled,
             cc: CcAlgorithm::Fixed,
             priority_stamping: true,
             initial_ttl: 255,
             ack_every: 1,
-        }
-    }
-
-    /// Plain NewReno without ECN sensitivity beyond RFC 3168 (used to
-    /// demonstrate why DIBS needs an ECN-based controller, §3).
-    pub fn newreno() -> Self {
-        TcpConfig {
-            cc: CcAlgorithm::Reno,
-            fast_retransmit: FastRetransmit::DupAckThreshold(3),
-            ..Self::dctcp_baseline()
         }
     }
 
@@ -129,7 +110,7 @@ mod tests {
         assert_eq!(d.mss, 1460);
         assert_eq!(d.init_cwnd, 10);
         assert_eq!(d.min_rto, SimDuration::from_millis(10));
-        assert!(matches!(d.cc, CcAlgorithm::Dctcp { .. }));
+        assert_eq!(d.cc, CcAlgorithm::Dctcp);
 
         let dibs = TcpConfig::dctcp_dibs();
         assert_eq!(dibs.fast_retransmit, FastRetransmit::Disabled);

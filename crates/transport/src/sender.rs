@@ -1,7 +1,7 @@
 //! The TCP sender state machine.
 //!
 //! A byte-sequence sliding-window sender with pluggable congestion control
-//! (Reno / DCTCP / fixed-window), RTO management with Karn's rule and
+//! (DCTCP / fixed-window), RTO management with Karn's rule and
 //! exponential backoff, optional dupack-threshold fast retransmit, and
 //! pFabric remaining-size priority stamping.
 //!
@@ -16,6 +16,12 @@ use dibs_engine::time::{SimDuration, SimTime};
 use dibs_net::ids::{FlowId, HostId};
 use dibs_net::packet::Packet;
 use dibs_trace::{TraceEvent, TraceKind, TraceSink};
+
+/// DCTCP's EWMA gain for `alpha` (the DCTCP paper's 1/16).
+const DCTCP_G: f64 = 1.0 / 16.0;
+
+/// Upper bound on the (backed-off) retransmission timeout.
+const MAX_RTO: SimDuration = SimDuration::from_secs(2);
 
 /// Reports one host-emitted packet to `sink`, classified as `Send`,
 /// `Retransmit`, or `Ack` from the packet's own flags. `node` is the
@@ -324,8 +330,7 @@ impl TcpSender {
         if ece && !self.cwr {
             self.cwr = true;
             let factor = match self.cfg.cc {
-                CcAlgorithm::Dctcp { .. } => 1.0 - self.alpha / 2.0,
-                CcAlgorithm::Reno => 0.5,
+                CcAlgorithm::Dctcp => 1.0 - self.alpha / 2.0,
                 CcAlgorithm::Fixed => 1.0,
             };
             self.cwnd = (self.cwnd * factor).max(self.cfg.min_cwnd());
@@ -503,11 +508,9 @@ impl TcpSender {
     }
 
     fn end_marking_window(&mut self) {
-        if let CcAlgorithm::Dctcp { g } = self.cfg.cc {
-            if self.bytes_acked_window > 0 {
-                let f = self.bytes_marked_window as f64 / self.bytes_acked_window as f64;
-                self.alpha = (1.0 - g) * self.alpha + g * f;
-            }
+        if self.cfg.cc == CcAlgorithm::Dctcp && self.bytes_acked_window > 0 {
+            let f = self.bytes_marked_window as f64 / self.bytes_acked_window as f64;
+            self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
         }
         self.bytes_acked_window = 0;
         self.bytes_marked_window = 0;
@@ -541,7 +544,7 @@ impl TcpSender {
         }
         let srtt = self.srtt.expect("just set");
         let candidate = srtt + self.rttvar.saturating_mul(4);
-        self.rto = candidate.max(self.cfg.min_rto).min(self.cfg.max_rto);
+        self.rto = candidate.max(self.cfg.min_rto).min(MAX_RTO);
     }
 
     fn current_rto(&self) -> SimDuration {
@@ -550,7 +553,7 @@ impl TcpSender {
         }
         self.rto
             .saturating_mul(1u64 << self.backoff.min(10))
-            .min(self.cfg.max_rto)
+            .min(MAX_RTO)
             .max(self.cfg.min_rto)
     }
 

@@ -29,11 +29,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> dibs-lint (simulation-safety static analysis)"
 cargo run -q -p dibs-lint --offline -- crates
 
+echo "==> non-test Rust lines (scripts/loc.sh): $(scripts/loc.sh)"
+
 if [[ $quick -eq 0 ]]; then
     if [[ $full -eq 1 ]]; then
         echo "==> cargo test --workspace (full: tier-1 + tier-2)"
         cargo test --workspace --offline -q -- --include-ignored
-        echo "==> perf_hotpath --smoke (hot-path bench suite, CI-sized)"
+        echo "==> perf_hotpath --smoke (queue/FIB microbenchmarks, CI-sized)"
         cargo run -q -p dibs-bench --release --offline --bin perf_hotpath -- --smoke
         # Dev profile on purpose: the runtime auditor (conservation ledger,
         # occupancy and TTL checks) only exists under debug assertions.

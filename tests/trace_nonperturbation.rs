@@ -84,6 +84,22 @@ fn traced_runs_digest_identically_at_any_jobs_width() {
     }
 }
 
+/// The default build runs with tracing fully disabled: without
+/// `set_tracer`, the simulation records nothing and attaches no report.
+#[test]
+fn default_build_attaches_no_trace_report() {
+    for cfg in [SimConfig::dctcp_dibs(), SimConfig::dctcp_baseline()] {
+        let results = presets::testbed_incast(20, 32_000)
+            .build_with(cfg)
+            .expect("incast builds")
+            .run();
+        assert!(
+            results.trace.is_none(),
+            "default build must run with tracing fully disabled"
+        );
+    }
+}
+
 /// The flight recorder (bounded ring, a different record path than the
 /// unbounded Full buffer) must be equally invisible.
 #[test]

@@ -1,9 +1,12 @@
 //! End-to-end checks on the trace itself: a traced incast exports valid
-//! Chrome-trace JSON, and the post-hoc query helpers can reconstruct a
+//! Chrome-trace JSON, the post-hoc query helpers can reconstruct a
 //! detoured packet's full hop sequence from the event stream — including
-//! the Fig 1 path of the most-detoured delivery.
+//! the Fig 1 path of the most-detoured delivery — and the stream agrees
+//! with the run's counters.
 
-use dibs::{presets, RunDescriptor, Scenario, SimConfig, TraceSpec, Tracer};
+use dibs::{
+    presets, RunDescriptor, RunResults, Scenario, SimConfig, Simulation, TraceSpec, Tracer,
+};
 use dibs_net::builders::{fat_tree, FatTreeParams};
 use dibs_net::ids::NodeId;
 use dibs_switch::BufferConfig;
@@ -21,7 +24,7 @@ fn k4() -> FatTreeParams {
 
 /// The golden buffer-sweep point: 25-packet buffers force heavy
 /// detouring, so the trace is guaranteed to contain detoured packets.
-fn traced_incast() -> TraceReport {
+fn incast_sim() -> Simulation {
     let d = RunDescriptor::new("golden_buffer_sweep", "dibs", 25, 0);
     let mut cfg = SimConfig::dctcp_dibs();
     cfg.switch.buffer = BufferConfig::StaticPerPort { packets: 25 };
@@ -30,10 +33,71 @@ fn traced_incast() -> TraceReport {
         seed: d.seed(0xD1B5_2014),
         ..presets::single_incast(4, 0, 8, 20_000)
     };
-    let mut sim = sc.build_with(cfg).expect("incast builds");
+    sc.build_with(cfg).expect("incast builds")
+}
+
+/// Runs `sim` with a full (unbounded, every kind) trace capture.
+fn run_traced(mut sim: Simulation) -> RunResults {
     let spec: TraceSpec = "all".parse().expect("valid spec");
     sim.set_tracer(Tracer::from_spec(&spec));
-    sim.run().trace.expect("tracer was installed")
+    sim.run()
+}
+
+fn traced_incast() -> TraceReport {
+    run_traced(incast_sim())
+        .trace
+        .expect("tracer was installed")
+}
+
+/// Counts the trace stream's switch facts and checks them against the
+/// counters, which the simulator keeps on a separate path: detours per
+/// switch, ECN marks, and every drop (TTL expiry included).
+fn assert_trace_matches_counters(sim: Simulation) -> RunResults {
+    let switch_nodes: Vec<u32> = sim.topology().switch_nodes().iter().map(|n| n.0).collect();
+    let results = run_traced(sim);
+    let report = results.trace.as_ref().expect("tracer was installed");
+    assert_eq!(report.dropped, 0, "a full capture loses no event");
+    let count = |kind: TraceKind, node: Option<u32>| {
+        report
+            .events
+            .iter()
+            .filter(|e| e.kind == kind && node.is_none_or(|n| e.node == n))
+            .count() as u64
+    };
+    assert_eq!(results.detours_per_switch.len(), switch_nodes.len());
+    for (si, &node) in switch_nodes.iter().enumerate() {
+        assert_eq!(
+            count(TraceKind::Detour, Some(node)),
+            results.detours_per_switch[si],
+            "detours at switch {si} (node {node})"
+        );
+    }
+    assert_eq!(count(TraceKind::Detour, None), results.counters.detours);
+    assert_eq!(count(TraceKind::EcnMark, None), results.counters.ecn_marks);
+    assert_eq!(
+        count(TraceKind::Drop, None) + count(TraceKind::TtlExpire, None),
+        results.counters.total_drops()
+    );
+    results
+}
+
+#[test]
+fn trace_stream_agrees_with_counters_dibs_incast() {
+    let r = assert_trace_matches_counters(incast_sim());
+    assert!(r.counters.detours > 0, "25-packet buffers must detour");
+    assert!(r.counters.ecn_marks > 0);
+}
+
+#[test]
+fn trace_stream_agrees_with_counters_pfabric_incast() {
+    let sim = presets::single_incast(4, 0, 8, 20_000)
+        .build_with(SimConfig::pfabric())
+        .expect("incast builds");
+    let r = assert_trace_matches_counters(sim);
+    assert!(
+        r.counters.drops_displaced > 0,
+        "24-packet pFabric queues must displace"
+    );
 }
 
 #[test]
